@@ -9,7 +9,9 @@ use std::hint::black_box;
 use continuum_bench::experiments as exp;
 use continuum_core::prelude::*;
 use continuum_data::{DataKey, ReplicaCatalog, StagingConfig, StagingService};
-use continuum_fabric::{endpoints_on, run_fabric, FunctionRegistry, Invocation, RoutingPolicy};
+use continuum_fabric::{
+    endpoints_on, run_fabric, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy,
+};
 use continuum_net::RouteTable;
 
 fn f1_crossover(c: &mut Criterion) {
@@ -191,7 +193,7 @@ fn f7_fabric(c: &mut Criterion) {
                     &registry,
                     &endpoints,
                     &invocations,
-                    RoutingPolicy::Locality,
+                    &FederationCfg::new(RoutingPolicy::Locality),
                 )
                 .completed,
             )

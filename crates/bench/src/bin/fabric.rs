@@ -2,14 +2,12 @@
 //!
 //! Three sections, one JSON report (`BENCH_fabric.json`):
 //!
-//! **dispatch** — wall-clock dispatch throughput of the federation vs the
-//! per-invocation single broker, swept over batch size × site count on a
-//! fog-heavy continuum with hundreds of endpoints. The 1-site batch-1
-//! federation arm is asserted **bit-identical** to
-//! `run_fabric_admission` — every latency, every counter — before
-//! anything is timed; the batched arms then amortize the per-invocation
-//! overhead (admission scan, candidate build, route resolution, arrival
-//! heap traffic) the identity arm still proves equivalent.
+//! **dispatch** — absolute wall-clock dispatch throughput of the
+//! federation (invocations per wall-second), swept over batch size × site
+//! count on a fog-heavy continuum with hundreds of endpoints. Every arm
+//! is checked for conservation (`completed + dropped + rejected ==
+//! invocations`) before it is timed; the batched arms amortize drain
+//! bookkeeping across each batch.
 //!
 //! **placement** — federated (4-site, site-local locality scan) vs
 //! centralized (1-site, global scan) placement quality under the
@@ -25,13 +23,12 @@
 //! cargo run --release -p continuum-bench --bin fabric
 //! ```
 //!
-//! `--smoke` shrinks the world so CI can assert the identity and the
-//! JSON shape without paying the full measurement cost.
+//! `--smoke` shrinks the world so CI can check conservation and the JSON
+//! shape without paying the full measurement cost.
 
 use continuum_fabric::{
-    endpoints_on, run_fabric_admission, run_federation, sites_from_partition, Admission, Backoff,
-    Endpoint, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent,
-    SiteFaults,
+    endpoints_on, run_federation, sites_from_partition, Admission, Backoff, Endpoint, FabricReport,
+    FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
 };
 use continuum_model::{standard_fleet, DeviceClass};
 use continuum_net::{continuum, continuum_regions, ContinuumSpec, NodeId, RegionPartition, Tier};
@@ -63,10 +60,8 @@ struct World {
 }
 
 /// A fog-heavy continuum: many fog sites, each densified to 8 fog
-/// servers, so the endpoint pool is large enough that the single
-/// broker's per-invocation O(endpoints) admission scan and candidate
-/// build are the dominant dispatch cost — the overhead batching
-/// amortizes away.
+/// servers, so the endpoint pool is large enough that any per-invocation
+/// O(endpoints) work would dominate dispatch cost.
 fn build_world(smoke: bool) -> World {
     let (spec, extra_fog_devices) = if smoke {
         (
@@ -137,6 +132,16 @@ fn workload(
     (registry, invocations)
 }
 
+/// Panic unless every invocation completed, dropped, or was rejected
+/// exactly once — checked before an arm is timed.
+fn assert_conserved(rep: &FabricReport, n: usize, arm: &str) {
+    assert_eq!(
+        rep.completed + rep.dropped + rep.rejected,
+        n as u64,
+        "{arm}: invocation lost or duplicated"
+    );
+}
+
 fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
     let (n, rate) = if smoke {
         (2_000, 500.0)
@@ -151,21 +156,6 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
     let site_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
     let batches: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 32] };
 
-    // Identity first, timing second: the per-invocation single broker is
-    // the reference, and the 1-site batch-1 federation must reproduce its
-    // report bit-for-bit — every latency in order, every counter.
-    eprintln!("fabric[dispatch]: asserting 1-site batch-1 identity vs single broker ...");
-    let oracle = run_fabric_admission(
-        &w.env,
-        &registry,
-        &w.endpoints,
-        &invocations,
-        policy,
-        None,
-        None,
-        None,
-        admission,
-    );
     let fed_cfg = |batch: usize| {
         let mut cfg = FederationCfg::new(policy);
         cfg.batch = batch;
@@ -173,60 +163,28 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
         cfg.admission = admission;
         cfg
     };
-    let one_site = sites_from_partition(&w.env, &w.partition, &w.endpoints, 1);
-    let identity = run_federation(
-        &w.env,
-        &registry,
-        &w.endpoints,
-        &one_site,
-        &invocations,
-        &fed_cfg(1),
-    );
-    assert_eq!(
-        identity.fabric, oracle,
-        "1-site batch-1 federation diverged from run_fabric_admission"
-    );
-
-    eprintln!("fabric[dispatch]: timing single-broker baseline ...");
-    let baseline_ms = best_of(reps, || {
-        run_fabric_admission(
-            &w.env,
-            &registry,
-            &w.endpoints,
-            &invocations,
-            policy,
-            None,
-            None,
-            None,
-            admission,
-        )
-    });
-    let baseline_thpt = n as f64 / (baseline_ms / 1e3);
 
     let mut arms = Vec::new();
-    let mut speedup_batch32_1site = 0.0;
-    let mut best_speedup = 0.0f64;
+    let mut best_thpt = 0.0f64;
     for &sites_n in site_counts {
         let sites = sites_from_partition(&w.env, &w.partition, &w.endpoints, sites_n);
         for &batch in batches {
             let cfg = fed_cfg(batch);
             eprintln!("fabric[dispatch]: timing {sites_n}-site batch-{batch} ...");
             let rep = run_federation(&w.env, &registry, &w.endpoints, &sites, &invocations, &cfg);
+            assert_conserved(&rep.fabric, n, &format!("{sites_n}-site batch-{batch}"));
             let t = best_of(reps, || {
                 run_federation(&w.env, &registry, &w.endpoints, &sites, &invocations, &cfg)
             });
-            let speedup = baseline_ms / t;
-            if sites_n == 1 && batch == *batches.last().expect("non-empty") {
-                speedup_batch32_1site = speedup;
-            }
-            best_speedup = best_speedup.max(speedup);
+            let thpt = n as f64 / (t / 1e3);
+            best_thpt = best_thpt.max(thpt);
             arms.push(json!({
                 "sites": sites.len(),
                 "batch": batch,
                 "ms": t,
-                "dispatch_throughput_per_sec": n as f64 / (t / 1e3),
-                "speedup_vs_single_broker": speedup,
+                "dispatch_throughput_per_sec": thpt,
                 "completed": rep.fabric.completed,
+                "dropped": rep.fabric.dropped,
                 "rejected": rep.fabric.rejected,
                 "drains": rep.drains,
                 "mean_batch": if rep.drains > 0 { rep.batched as f64 / rep.drains as f64 } else { 0.0 },
@@ -242,20 +200,14 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
         "invocations": n,
         "offered_rate_hz": rate,
         "policy": "round-robin",
-        "identity_asserted": true,
-        "single_broker_ms": baseline_ms,
-        "single_broker_throughput_per_sec": baseline_thpt,
+        "conservation_asserted": true,
+        "best_dispatch_throughput_per_sec": best_thpt,
         "arms": arms,
-        "speedup_at_max_batch_1site": speedup_batch32_1site,
-        "best_speedup": best_speedup,
         "notes": [
-            "The 1-site batch-1 federation arm is asserted bit-identical to \
-             run_fabric_admission (every latency, every counter) before any \
-             arm is timed; batched arms change only *when* dispatch work \
-             happens, never the admission decision or the policy pick.",
+            "Every arm is checked for conservation (completed + dropped + \
+             rejected == invocations) before it is timed; batched arms change \
+             only *when* dispatch work happens.",
             "Throughput is invocations per wall-second of simulation: the \
-             single broker pays an O(endpoints) admission scan and candidate \
-             build plus two arrival heap operations per invocation; the \
              federation pays an O(1) maintained in-system count, a cached \
              per-site candidate list, a cached route probe, and amortizes \
              drain bookkeeping across the batch.",
@@ -279,6 +231,7 @@ fn bench_placement(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
         let sites = sites_from_partition(&w.env, &w.partition, &w.endpoints, sites_n);
         let cfg = FederationCfg::new(policy);
         let rep = run_federation(&w.env, &registry, &w.endpoints, &sites, &invocations, &cfg);
+        assert_conserved(&rep.fabric, n, &format!("{sites_n}-site locality"));
         let t = best_of(reps, || {
             run_federation(&w.env, &registry, &w.endpoints, &sites, &invocations, &cfg)
         });
@@ -349,11 +302,7 @@ fn bench_failure(w: &World, smoke: bool) -> serde_json::Value {
             seed: 0xFA11,
         });
         let faulty = run_federation(&w.env, &registry, &w.endpoints, &sites, &invocations, &cfg);
-        assert_eq!(
-            faulty.fabric.completed + faulty.fabric.dropped + faulty.fabric.rejected,
-            n as u64,
-            "site-failure run lost an invocation"
-        );
+        assert_conserved(&faulty.fabric, n, &format!("{sites_n}-site crash"));
         let (_, _, clean_p99) = clean.fabric.latency_percentiles();
         let (_, _, faulty_p99) = faulty.fabric.latency_percentiles();
         arms.push(json!({

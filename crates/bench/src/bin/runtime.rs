@@ -32,7 +32,7 @@
 use continuum_bench::seed_exec::simulate_stream_chaos_seed;
 use continuum_core::prelude::*;
 use continuum_fabric::{
-    endpoints_on, run_fabric_faulty, Backoff, EndpointFaults, FunctionRegistry, Invocation,
+    endpoints_on, run_fabric, Backoff, EndpointFaults, FederationCfg, FunctionRegistry, Invocation,
     RoutingPolicy,
 };
 use continuum_model::standard_fleet;
@@ -205,7 +205,8 @@ fn fabric_leg(env: &Env, smoke: bool) {
             }
         })
         .collect();
-    let faults = EndpointFaults {
+    let mut cfg = FederationCfg::new(RoutingPolicy::LeastOutstanding);
+    cfg.faults = Some(EndpointFaults {
         schedule: FaultSchedule::generate(
             &FaultScheduleSpec {
                 horizon: SimDuration::from_secs_f64(t + 30.0),
@@ -221,17 +222,8 @@ fn fabric_leg(env: &Env, smoke: bool) {
         heartbeat: SimDuration::from_millis(500),
         backoff: Backoff::default(),
         seed: 0xBAC0,
-    };
-    let rep = run_fabric_faulty(
-        env,
-        &registry,
-        &endpoints,
-        &invocations,
-        RoutingPolicy::LeastOutstanding,
-        None,
-        None,
-        Some(&faults),
-    );
+    });
+    let rep = run_fabric(env, &registry, &endpoints, &invocations, &cfg);
     assert_eq!(rep.completed + rep.dropped, n as u64);
 }
 

@@ -179,7 +179,8 @@ pub fn run() -> (Vec<Table>, Vec<Row>) {
     );
     {
         use continuum_fabric::{
-            endpoints_on, run_fabric_cfg, ColdStart, FunctionRegistry, Invocation, RoutingPolicy,
+            endpoints_on, run_fabric, ColdStart, FederationCfg, FunctionRegistry, Invocation,
+            RoutingPolicy,
         };
         let mut registry = FunctionRegistry::new();
         let infer = registry.register("infer", 5e9, 200 << 10, 1 << 10);
@@ -199,14 +200,9 @@ pub fn run() -> (Vec<Table>, Vec<Row>) {
                 })
                 .collect();
             let p95 = |cold: Option<ColdStart>| {
-                let rep = run_fabric_cfg(
-                    world.env(),
-                    &registry,
-                    &endpoints,
-                    &invocations,
-                    RoutingPolicy::LeastOutstanding,
-                    cold,
-                );
+                let mut cfg = FederationCfg::new(RoutingPolicy::LeastOutstanding);
+                cfg.cold = cold;
+                let rep = run_fabric(world.env(), &registry, &endpoints, &invocations, &cfg);
                 rep.latency_percentiles().1
             };
             let none = p95(None);

@@ -14,8 +14,8 @@
 use crate::report::{f, Table};
 use continuum_core::prelude::*;
 use continuum_fabric::{
-    endpoints_on, run_fabric_elastic, Autoscale, ColdStart, Endpoint, FunctionRegistry, Invocation,
-    RoutingPolicy,
+    endpoints_on, run_fabric, Autoscale, ColdStart, Endpoint, FederationCfg, FunctionRegistry,
+    Invocation, RoutingPolicy,
 };
 use serde::Serialize;
 
@@ -68,15 +68,10 @@ pub fn run() -> (Table, Vec<Row>) {
     });
 
     let run_one = |eps: &[Endpoint], autoscale: Option<Autoscale>, regime: &str| -> Row {
-        let rep = run_fabric_elastic(
-            world.env(),
-            &registry,
-            eps,
-            &invocations,
-            RoutingPolicy::LeastOutstanding,
-            cold,
-            autoscale,
-        );
+        let mut cfg = FederationCfg::new(RoutingPolicy::LeastOutstanding);
+        cfg.cold = cold;
+        cfg.autoscale = autoscale;
+        let rep = run_fabric(world.env(), &registry, eps, &invocations, &cfg);
         assert_eq!(rep.completed, invocations.len() as u64);
         let (p50, _, p99) = rep.latency_percentiles();
         Row {

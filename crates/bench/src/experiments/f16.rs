@@ -1,22 +1,21 @@
 //! F16 — federated fabric: batched dispatch, placement quality, and
 //! site-failure takeover.
 //!
-//! The federation promotes the single fabric broker to per-site brokers
-//! with batched dispatch (`continuum_fabric::run_federation`). This
-//! experiment sweeps site count × batch size on one world and load,
-//! reporting simulated service quality (throughput, latency percentiles)
-//! alongside wall-clock dispatch cost and its speedup over the
-//! per-invocation single broker — after asserting the 1-site batch-1 arm
-//! bit-identical to `run_fabric_admission`. A final pair of rows crashes
-//! one site mid-run to show broker-peer takeover: work is adopted by a
+//! The federation runs the fabric as per-site brokers with batched
+//! dispatch (`continuum_fabric::run_federation`). This experiment sweeps
+//! site count × batch size on one world and load, reporting simulated
+//! service quality (throughput, latency percentiles) alongside the
+//! wall-clock dispatch cost and absolute dispatch throughput
+//! (invocations per wall-second) of each arm; every arm is checked for
+//! conservation before it is timed. A final pair of rows crashes one
+//! site mid-run to show broker-peer takeover: work is adopted by a
 //! surviving site, nothing is lost, and the p99 pays the outage.
 
 use crate::report::{f, Table};
 use continuum_core::prelude::*;
 use continuum_fabric::{
-    endpoints_on, run_fabric_admission, run_federation, sites_from_partition, Admission, Backoff,
-    FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
-    WarmPool,
+    endpoints_on, run_federation, sites_from_partition, Admission, Backoff, FederationCfg,
+    FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults, WarmPool,
 };
 use continuum_net::{continuum_regions, RegionPartition};
 use continuum_obs::HealthSpec;
@@ -28,9 +27,9 @@ use std::time::Instant;
 pub struct Row {
     /// Arm label.
     pub arm: String,
-    /// Federation sites (0 = the single-broker baseline).
+    /// Federation sites.
     pub sites: usize,
-    /// Dispatch batch size (0 = the single-broker baseline).
+    /// Dispatch batch size.
     pub batch: usize,
     /// A mid-run site outage was injected.
     pub site_fault: bool,
@@ -48,8 +47,8 @@ pub struct Row {
     pub p99_s: f64,
     /// Wall-clock cost of the run, milliseconds (best of 3).
     pub wall_ms: f64,
-    /// Wall-clock speedup vs the per-invocation single broker.
-    pub speedup: f64,
+    /// Dispatch throughput: invocations per wall-clock second of the run.
+    pub dispatch_per_s: f64,
     /// Mean drain occupancy (1.0 when batch == 1).
     pub mean_batch: f64,
     /// Site outages adopted by a surviving peer.
@@ -116,48 +115,6 @@ pub fn run() -> (Table, Vec<Row>) {
     });
     let span = invs.last().expect("n > 0").arrival;
 
-    // The oracle and the identity gate: the 1-site batch-1 federation
-    // must reproduce the single broker bit-for-bit before any arm runs.
-    let oracle = run_fabric_admission(
-        world.env(),
-        &registry,
-        &endpoints,
-        &invs,
-        policy,
-        None,
-        None,
-        None,
-        admission,
-    );
-    let one_site = sites_from_partition(world.env(), &partition, &endpoints, 1);
-    let mut id_cfg = FederationCfg::new(policy);
-    id_cfg.admission = admission;
-    let identity = run_federation(
-        world.env(),
-        &registry,
-        &endpoints,
-        &one_site,
-        &invs,
-        &id_cfg,
-    );
-    assert_eq!(
-        identity.fabric, oracle,
-        "1-site batch-1 federation diverged from run_fabric_admission"
-    );
-    let baseline_ms = best_of(3, || {
-        run_fabric_admission(
-            world.env(),
-            &registry,
-            &endpoints,
-            &invs,
-            policy,
-            None,
-            None,
-            None,
-            admission,
-        )
-    });
-
     // Every federation arm carries the health plane; burn rates are
     // measured against a 400 ms end-to-end objective.
     let hspec = HealthSpec::for_objective_ns(400_000_000);
@@ -172,47 +129,12 @@ pub fn run() -> (Table, Vec<Row>) {
             "p50 (s)",
             "p99 (s)",
             "wall (ms)",
-            "speedup",
+            "dispatch (/s)",
             "takeovers",
             "warm hit",
             "burn pk",
         ],
     );
-    let (o50, _, o99) = oracle.latency_percentiles();
-    table.row(vec![
-        "single-broker".into(),
-        "-".into(),
-        "-".into(),
-        f(oracle.throughput_hz),
-        f(o50),
-        f(o99),
-        f(baseline_ms),
-        f(1.0),
-        "0".into(),
-        f(0.0),
-        f(0.0),
-    ]);
-    rows.push(Row {
-        arm: "single-broker".into(),
-        sites: 0,
-        batch: 0,
-        site_fault: false,
-        completed: oracle.completed,
-        dropped: oracle.dropped,
-        rejected: oracle.rejected,
-        throughput_hz: oracle.throughput_hz,
-        p50_s: o50,
-        p99_s: o99,
-        wall_ms: baseline_ms,
-        speedup: 1.0,
-        mean_batch: 0.0,
-        takeovers: 0,
-        warm_hit_rate: 0.0,
-        burn_short_peak: 0.0,
-        burn_long: 0.0,
-        health_anomalies: 0,
-    });
-
     for (sites_n, batch, fault, warm) in [
         (1usize, 1usize, false, false),
         (1, 32, false, false),
@@ -256,15 +178,16 @@ pub fn run() -> (Table, Vec<Row>) {
             });
         }
         let rep = run_federation(world.env(), &registry, &endpoints, &sites, &invs, &cfg);
-        let wall = best_of(3, || {
-            run_federation(world.env(), &registry, &endpoints, &sites, &invs, &cfg)
-        });
         let fab = &rep.fabric;
         assert_eq!(
             fab.completed + fab.dropped + fab.rejected,
             n as u64,
             "conservation"
         );
+        let wall = best_of(3, || {
+            run_federation(world.env(), &registry, &endpoints, &sites, &invs, &cfg)
+        });
+        let dispatch_per_s = n as f64 / (wall / 1e3);
         let (p50, _, p99) = fab.latency_percentiles();
         let arm = format!(
             "fed {}x b{}{}{}",
@@ -290,7 +213,7 @@ pub fn run() -> (Table, Vec<Row>) {
             f(p50),
             f(p99),
             f(wall),
-            f(baseline_ms / wall),
+            f(dispatch_per_s),
             rep.takeovers.to_string(),
             f(warm_hit_rate),
             f(health.map_or(0.0, |h| h.burn_short_peak)),
@@ -307,7 +230,7 @@ pub fn run() -> (Table, Vec<Row>) {
             p50_s: p50,
             p99_s: p99,
             wall_ms: wall,
-            speedup: baseline_ms / wall,
+            dispatch_per_s,
             mean_batch: if rep.drains > 0 {
                 rep.batched as f64 / rep.drains as f64
             } else {
@@ -326,18 +249,22 @@ pub fn run() -> (Table, Vec<Row>) {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn federation_matches_oracle_and_takes_over_on_site_crash() {
-        // run() itself asserts the bit-identity gate and per-arm
-        // conservation; here we pin the service-level expectations.
+    fn federation_conserves_and_takes_over_on_site_crash() {
+        // run() itself asserts per-arm conservation before timing; here
+        // we pin the service-level expectations.
         let (_, rows) = super::run();
+        let n = super::invocations() as u64;
         let by_arm = |a: &str| rows.iter().find(|r| r.arm == a).expect("arm");
-        let base = by_arm("single-broker");
         let id = by_arm("fed 1x b1");
-        // Identical simulated outcomes (the bit-identity the run asserts
-        // shows up as equal aggregates).
-        assert_eq!(id.completed, base.completed);
-        assert_eq!(id.p50_s, base.p50_s);
-        assert_eq!(id.p99_s, base.p99_s);
+        for r in &rows {
+            assert_eq!(
+                r.completed + r.dropped + r.rejected,
+                n,
+                "{}: conservation",
+                r.arm
+            );
+            assert!(r.dispatch_per_s > 0.0, "{}: dispatch throughput", r.arm);
+        }
         // Batching defers dispatch: the batched arm's median latency is
         // at least the per-invocation arm's.
         assert!(by_arm("fed 1x b32").p50_s >= id.p50_s - 1e-12);
@@ -352,9 +279,9 @@ mod tests {
             "warm hit rate {} with one function against a capacity-1 pool",
             warm.warm_hit_rate
         );
-        // Health plane is attached to every federation arm and records
-        // each takeover as an anomaly.
-        for r in rows.iter().filter(|r| r.sites > 0) {
+        // Health plane is attached to every arm and records each takeover
+        // as an anomaly.
+        for r in &rows {
             assert!(r.burn_short_peak >= 0.0 && r.burn_long >= 0.0, "{}", r.arm);
         }
         for r in rows.iter().filter(|r| r.site_fault) {
@@ -364,12 +291,6 @@ mod tests {
                 r.arm
             );
             assert_eq!(r.takeovers, 1, "{}: site crash must be adopted", r.arm);
-            assert_eq!(
-                r.completed + r.dropped + r.rejected,
-                base.completed + base.dropped + base.rejected,
-                "{}: conservation",
-                r.arm
-            );
             assert!(
                 r.p99_s >= id.p99_s,
                 "{}: outage cannot shrink the tail",

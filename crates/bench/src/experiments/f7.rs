@@ -8,7 +8,9 @@
 
 use crate::report::{f, Table};
 use continuum_core::prelude::*;
-use continuum_fabric::{endpoints_on, run_fabric, FunctionRegistry, Invocation, RoutingPolicy};
+use continuum_fabric::{
+    endpoints_on, run_fabric, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy,
+};
 use serde::Serialize;
 
 /// One measured point.
@@ -78,7 +80,13 @@ pub fn run() -> (Table, Vec<Row>) {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ] {
-            let rep = run_fabric(world.env(), &registry, &endpoints, &invocations, policy);
+            let rep = run_fabric(
+                world.env(),
+                &registry,
+                &endpoints,
+                &invocations,
+                &FederationCfg::new(policy),
+            );
             let (p50, _, p99) = rep.latency_percentiles();
             table.row(vec![
                 policy.label().to_string(),

@@ -1,5 +1,6 @@
-//! The fabric broker: routes invocations to endpoints and simulates their
-//! execution.
+//! The fabric's vocabulary — endpoints, invocations, routing policies,
+//! and the knobs and report of a run — plus [`run_fabric`], the
+//! single-broker entry point.
 //!
 //! An *endpoint* is a worker pool pinned to a fleet device (our funcX
 //! analogue). Invocations arrive over time from origin nodes; the broker
@@ -8,9 +9,13 @@
 //! back. Experiment F7 reports throughput, latency percentiles, and
 //! endpoint load balance (Jain index) under each policy.
 //!
+//! A single broker is the degenerate federation: [`run_fabric`] runs the
+//! invocations through [`run_federation`] over one site owning every
+//! endpoint. The fabric has one event loop, in [`crate::federation`].
+//!
 //! # Endpoint faults
 //!
-//! [`run_fabric_faulty`] additionally interprets the endpoint events of a
+//! [`FederationCfg::faults`] interprets the endpoint events of a
 //! [`FaultSchedule`]. A crash kills the invocations running on the
 //! endpoint (their elapsed execution is counted as lost work) and freezes
 //! its queue; the broker notices only after a heartbeat interval
@@ -21,15 +26,13 @@
 //! recovers *before* detection simply restarts its orphans in place (the
 //! payloads are already there); recovery always comes back cold.
 
+use crate::federation::{run_federation, single_site, FederationCfg};
 use crate::registry::{FunctionId, FunctionRegistry};
 use continuum_model::DeviceId;
 use continuum_net::NodeId;
 use continuum_placement::Env;
-use continuum_sim::{
-    jain_fairness, EventQueue, FaultKind, FaultSchedule, Percentiles, Rng, SimDuration, SimTime,
-};
+use continuum_sim::{FaultSchedule, Percentiles, Rng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of an endpoint.
@@ -129,7 +132,7 @@ impl Backoff {
     }
 }
 
-/// Endpoint fault injection for [`run_fabric_faulty`].
+/// Endpoint fault injection ([`FederationCfg::faults`]).
 #[derive(Debug, Clone)]
 pub struct EndpointFaults {
     /// Schedule whose `EndpointCrash`/`EndpointRecover` events are
@@ -163,8 +166,8 @@ pub struct Admission {
 
 /// Aggregate result of a fabric run.
 ///
-/// `PartialEq` is derived so federation arms can be asserted bit-identical
-/// to the single-broker oracle (floats compared exactly, on purpose).
+/// `PartialEq` is derived so runs can be asserted bit-identical to one
+/// another (floats compared exactly, on purpose).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricReport {
     /// Completed invocations.
@@ -262,104 +265,12 @@ pub struct ColdStart {
     pub keep_warm: continuum_sim::SimDuration,
 }
 
-#[derive(Debug)]
-enum Ev {
-    Arrive(usize),
-    /// Request payload landed at `ep`. Stale if the invocation was
-    /// re-routed while the payload was in flight (`epoch` mismatch).
-    InputReady {
-        ep: usize,
-        inv: usize,
-        epoch: u32,
-    },
-    /// Execution finished. Stale if the attempt was killed by a crash.
-    ExecDone {
-        ep: usize,
-        inv: usize,
-        epoch: u32,
-    },
-    ResponseBack {
-        inv: usize,
-    },
-    EpCrash(usize),
-    EpRecover(usize),
-    /// Heartbeat timeout: the broker notices crash generation `gen` of
-    /// endpoint `ep` (stale if the endpoint recovered, or crashed again,
-    /// in the meantime).
-    EpDetect {
-        ep: usize,
-        gen: u32,
-    },
-    /// A displaced invocation's backoff expired; pick a new endpoint.
-    Reroute(usize),
-}
-
-/// Per-endpoint broker state. Shared with the federation engine
-/// (`federation.rs`), whose 1-site arm must evolve this state exactly as
-/// the single-broker loop does.
-pub(crate) struct EpState {
-    pub(crate) scale: ScaleState,
-    pub(crate) waiting: VecDeque<usize>,
-    pub(crate) outstanding: u32,
-    pub(crate) warm_until: SimTime,
-    /// Slot-availability estimates for the Locality policy.
-    pub(crate) lane_est: Vec<SimTime>,
-    pub(crate) up: bool,
-    /// Down *and* past its detection heartbeat: excluded from routing.
-    pub(crate) known_down: bool,
-    /// Crash generation, to match detect events to the right outage.
-    pub(crate) gen: u32,
-    /// Invocations currently executing here.
-    pub(crate) running: Vec<usize>,
-    /// Invocations killed by a crash, awaiting detection or recovery.
-    pub(crate) orphans: Vec<usize>,
-    pub(crate) completions: u64,
-}
-
-/// Initial per-endpoint state — one shared constructor so the federation
-/// engine starts from bit-identical state.
-pub(crate) fn ep_states(endpoints: &[Endpoint], autoscale: Option<Autoscale>) -> Vec<EpState> {
-    endpoints
-        .iter()
-        .map(|e| EpState {
-            scale: ScaleState {
-                active: match autoscale {
-                    Some(a) => a.min_slots.min(e.slots).max(1),
-                    None => e.slots,
-                },
-                busy: 0,
-                slot_seconds: 0.0,
-                last_change: SimTime::ZERO,
-            },
-            waiting: VecDeque::new(),
-            outstanding: 0,
-            // SimTime::ZERO means "cold since the beginning": the first
-            // touch of every endpoint pays the cold-start tax.
-            warm_until: SimTime::ZERO,
-            lane_est: vec![SimTime::ZERO; e.slots as usize],
-            up: true,
-            known_down: false,
-            gen: 0,
-            running: Vec::new(),
-            orphans: Vec::new(),
-            completions: 0,
-        })
-        .collect()
-}
-
-/// Per-invocation broker state.
-struct InvState {
-    assigned: usize,
-    /// Bumped when the running attempt is killed or the invocation is
-    /// re-routed; in-flight events carrying an older epoch are ignored.
-    epoch: u32,
-    /// Re-route rounds consumed.
-    attempts: u32,
-    exec_start: SimTime,
-    done_at: Option<SimTime>,
-}
-
-/// Run a set of invocations through the fabric.
+/// Run a set of invocations through the fabric as a one-site federation.
+///
+/// Every endpoint belongs to one site, so site forwarding is trivial and
+/// each invocation meets the endpoint-level [`RoutingPolicy`] of
+/// `cfg.policy` directly. This is [`run_federation`] over
+/// [`single_site`]; the report is the federation's [`FabricReport`].
 ///
 /// Transfers use the analytic path model (no cross-invocation link
 /// contention — the fabric experiment isolates endpoint queueing; the DAG
@@ -369,612 +280,10 @@ pub fn run_fabric(
     registry: &FunctionRegistry,
     endpoints: &[Endpoint],
     invocations: &[Invocation],
-    policy: RoutingPolicy,
+    cfg: &FederationCfg,
 ) -> FabricReport {
-    run_fabric_cfg(env, registry, endpoints, invocations, policy, None)
-}
-
-/// [`run_fabric`] with optional cold-start modeling.
-pub fn run_fabric_cfg(
-    env: &Env,
-    registry: &FunctionRegistry,
-    endpoints: &[Endpoint],
-    invocations: &[Invocation],
-    policy: RoutingPolicy,
-    cold: Option<ColdStart>,
-) -> FabricReport {
-    run_fabric_elastic(env, registry, endpoints, invocations, policy, cold, None)
-}
-
-/// [`run_fabric_cfg`] with optional elastic slot provisioning.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fabric_elastic(
-    env: &Env,
-    registry: &FunctionRegistry,
-    endpoints: &[Endpoint],
-    invocations: &[Invocation],
-    policy: RoutingPolicy,
-    cold: Option<ColdStart>,
-    autoscale: Option<Autoscale>,
-) -> FabricReport {
-    run_fabric_faulty(
-        env,
-        registry,
-        endpoints,
-        invocations,
-        policy,
-        cold,
-        autoscale,
-        None,
-    )
-}
-
-/// [`run_fabric_elastic`] with optional endpoint fault injection.
-///
-/// With `faults: None` this is exactly the fault-free broker. With a
-/// schedule, endpoint crash/recover events are interpreted as described
-/// in the module docs; `completed + dropped == invocations.len()` always
-/// holds on the report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fabric_faulty(
-    env: &Env,
-    registry: &FunctionRegistry,
-    endpoints: &[Endpoint],
-    invocations: &[Invocation],
-    policy: RoutingPolicy,
-    cold: Option<ColdStart>,
-    autoscale: Option<Autoscale>,
-    faults: Option<&EndpointFaults>,
-) -> FabricReport {
-    run_fabric_admission(
-        env,
-        registry,
-        endpoints,
-        invocations,
-        policy,
-        cold,
-        autoscale,
-        faults,
-        None,
-    )
-}
-
-/// [`run_fabric_faulty`] with optional [`Admission`] control (bounded
-/// backlog, reject-and-count backpressure). With `admission: None` this
-/// is exactly the unbounded broker.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fabric_admission(
-    env: &Env,
-    registry: &FunctionRegistry,
-    endpoints: &[Endpoint],
-    invocations: &[Invocation],
-    policy: RoutingPolicy,
-    cold: Option<ColdStart>,
-    autoscale: Option<Autoscale>,
-    faults: Option<&EndpointFaults>,
-    admission: Option<Admission>,
-) -> FabricReport {
-    assert!(!endpoints.is_empty(), "no endpoints");
-    let n_ep = endpoints.len();
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut eps: Vec<EpState> = ep_states(endpoints, autoscale);
-    let mut invs: Vec<InvState> = invocations
-        .iter()
-        .map(|_| InvState {
-            assigned: usize::MAX,
-            epoch: 0,
-            attempts: 0,
-            exec_start: SimTime::ZERO,
-            done_at: None,
-        })
-        .collect();
-    let mut rr_next = 0usize;
-    let mut latencies: Vec<f64> = Vec::with_capacity(invocations.len());
-    let mut reroutes = 0u64;
-    let mut retries = 0u64;
-    let mut dropped = 0u64;
-    let mut rejected = 0u64;
-    let mut lost_work_s = 0.0f64;
-    let mut jitter_rng = Rng::new(faults.map_or(0, |f| f.seed));
-    // Telemetry: resolved once on entry; plain local counters in the loop
-    // (same cost as the reroute/retry counters above), published at exit.
-    let tele = continuum_obs::ambient();
-    let trace_on = tele
-        .as_deref()
-        .is_some_and(continuum_obs::Telemetry::trace_enabled);
-    let mut failovers = 0u64;
-    let mut detections = 0u64;
-    let mut recoveries = 0u64;
-    let mut orphans_restarted = 0u64;
-
-    for (i, inv) in invocations.iter().enumerate() {
-        queue.schedule_at(inv.arrival, Ev::Arrive(i));
-    }
-    if let Some(f) = faults {
-        for ev in f.schedule.events() {
-            let kind = match ev.kind {
-                FaultKind::EndpointCrash => Ev::EpCrash(ev.target as usize),
-                FaultKind::EndpointRecover => Ev::EpRecover(ev.target as usize),
-                _ => continue, // device/link faults are not the broker's
-            };
-            assert!(
-                (ev.target as usize) < n_ep,
-                "fault schedule targets endpoint {} but only {n_ep} exist",
-                ev.target
-            );
-            queue.schedule_at(ev.at, kind);
-        }
-    }
-
-    // Assign `i` to endpoint `ep` and launch its request payload.
-    macro_rules! assign {
-        ($i:expr, $ep:expr, $spec:expr, $now:expr) => {{
-            let (i, ep, now) = ($i, $ep, $now);
-            let spec = $spec;
-            invs[i].assigned = ep;
-            eps[ep].outstanding += 1;
-            let dev = &env.fleet.device(endpoints[ep].device);
-            let exec = dev
-                .spec
-                .compute_time_parallel(spec.work_flops, spec.parallelism);
-            let tin = env
-                .path(invocations[i].origin, dev.node)
-                .expect("disconnected topology")
-                .transfer_time(spec.in_bytes);
-            // Update the locality estimate for the chosen endpoint.
-            let lanes = &mut eps[ep].lane_est;
-            let (k, _) = lanes
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, t)| (*t, i))
-                .expect("non-empty lanes");
-            lanes[k] = (now + tin).max(lanes[k]) + exec;
-            let epoch = invs[i].epoch;
-            queue.schedule_at(now + tin, Ev::InputReady { ep, inv: i, epoch });
-        }};
-    }
-
-    // One backoff round for a displaced invocation (or give it up).
-    macro_rules! backoff_or_drop {
-        ($i:expr, $now:expr) => {{
-            let (i, now) = ($i, $now);
-            let cfg = faults.expect("displacement implies faults").backoff;
-            if invs[i].attempts >= cfg.max_retries {
-                dropped += 1;
-            } else {
-                let delay = cfg.delay(invs[i].attempts, &mut jitter_rng);
-                invs[i].attempts += 1;
-                retries += 1;
-                queue.schedule_at(now + delay, Ev::Reroute(i));
-            }
-        }};
-    }
-
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::Arrive(i) => {
-                // Backpressure gate: count the in-system load and bounce
-                // the arrival if the cap is hit. Only new arrivals pass
-                // here — displaced work re-enters via `Ev::Reroute`.
-                if let Some(a) = admission {
-                    let in_system: usize = eps.iter().map(|e| e.outstanding as usize).sum();
-                    if in_system >= a.max_outstanding {
-                        rejected += 1;
-                        continue;
-                    }
-                }
-                let spec = registry.get(invocations[i].function);
-                let candidates: Vec<usize> = (0..n_ep).filter(|&e| !eps[e].known_down).collect();
-                // At least one endpoint is always un-suspected at arrival
-                // time only if detection hasn't flagged all of them; if it
-                // has, treat the arrival like displaced work and back off.
-                match choose_endpoint(
-                    env,
-                    endpoints,
-                    &eps,
-                    &candidates,
-                    policy,
-                    &mut rr_next,
-                    spec,
-                    invocations[i].origin,
-                    now,
-                ) {
-                    Some(ep) => assign!(i, ep, spec, now),
-                    None => backoff_or_drop!(i, now),
-                }
-            }
-            Ev::Reroute(i) => {
-                // The function id can outlive a registry swap in a long-
-                // lived broker; a stale id means the work is undeliverable.
-                let Some(spec) = registry.try_get(invocations[i].function) else {
-                    dropped += 1;
-                    continue;
-                };
-                let candidates: Vec<usize> = (0..n_ep).filter(|&e| !eps[e].known_down).collect();
-                match choose_endpoint(
-                    env,
-                    endpoints,
-                    &eps,
-                    &candidates,
-                    policy,
-                    &mut rr_next,
-                    spec,
-                    invocations[i].origin,
-                    now,
-                ) {
-                    Some(ep) => {
-                        reroutes += 1;
-                        invs[i].epoch += 1;
-                        assign!(i, ep, spec, now);
-                    }
-                    None => backoff_or_drop!(i, now),
-                }
-            }
-            Ev::InputReady { ep, inv, epoch } => {
-                if epoch != invs[inv].epoch {
-                    continue; // re-routed while the payload was in flight
-                }
-                if eps[ep].known_down {
-                    // Payload landed on an endpoint already declared dead.
-                    eps[ep].outstanding -= 1;
-                    backoff_or_drop!(inv, now);
-                    continue;
-                }
-                eps[ep].waiting.push_back(inv);
-                // Elastic scale-up: queued work and every slot busy.
-                if autoscale.is_some() && eps[ep].up {
-                    let st = &mut eps[ep].scale;
-                    if st.busy >= st.active && st.active < endpoints[ep].slots {
-                        st.grow(now);
-                    }
-                }
-                try_start(
-                    env,
-                    registry,
-                    endpoints,
-                    &mut queue,
-                    &mut eps,
-                    &mut invs,
-                    ep,
-                    now,
-                    invocations,
-                    cold,
-                );
-            }
-            Ev::ExecDone { ep, inv, epoch } => {
-                if epoch != invs[inv].epoch {
-                    continue; // this attempt was killed by a crash
-                }
-                eps[ep].scale.busy -= 1;
-                let pos = eps[ep]
-                    .running
-                    .iter()
-                    .position(|&r| r == inv)
-                    .expect("finished invocation is running");
-                eps[ep].running.swap_remove(pos);
-                let spec = registry.get(invocations[inv].function);
-                let ep_node = env.fleet.device(endpoints[ep].device).node;
-                let tout = env
-                    .path(ep_node, invocations[inv].origin)
-                    .expect("disconnected topology")
-                    .transfer_time(spec.out_bytes);
-                queue.schedule_at(now + tout, Ev::ResponseBack { inv });
-                try_start(
-                    env,
-                    registry,
-                    endpoints,
-                    &mut queue,
-                    &mut eps,
-                    &mut invs,
-                    ep,
-                    now,
-                    invocations,
-                    cold,
-                );
-                // Elastic scale-down: queue drained, spare slots idle.
-                if let Some(a) = autoscale {
-                    if eps[ep].waiting.is_empty() {
-                        let floor = a.min_slots.min(endpoints[ep].slots).max(1);
-                        let st = &mut eps[ep].scale;
-                        st.shrink_to(st.busy.max(floor), now);
-                    }
-                }
-            }
-            Ev::ResponseBack { inv } => {
-                let ep = invs[inv].assigned;
-                eps[ep].outstanding -= 1;
-                eps[ep].completions += 1;
-                invs[inv].done_at = Some(now);
-                latencies.push(now.since(invocations[inv].arrival).as_secs_f64());
-            }
-            Ev::EpCrash(ep) => {
-                if !eps[ep].up {
-                    continue;
-                }
-                failovers += 1;
-                if trace_on {
-                    if let Some(t) = tele.as_deref() {
-                        t.tracer
-                            .instant(format!("ep {ep} crash"), "fabric", now.0, t.pid(), 1);
-                    }
-                }
-                let e = &mut eps[ep];
-                e.up = false;
-                e.gen += 1;
-                // Kill the running attempts; their elapsed execution is
-                // destroyed. The invocations become orphans awaiting
-                // either detection (re-route) or recovery (restart here).
-                for inv in std::mem::take(&mut e.running) {
-                    lost_work_s += now.since(invs[inv].exec_start).as_secs_f64();
-                    invs[inv].epoch += 1;
-                    e.orphans.push(inv);
-                }
-                // Slot-seconds stop accruing while the pool is dead.
-                e.scale.settle(now);
-                e.scale.active = 0;
-                e.scale.busy = 0;
-                e.warm_until = SimTime::ZERO; // recovery comes back cold
-                let gen = e.gen;
-                let hb = faults.expect("crash event implies faults").heartbeat;
-                queue.schedule_at(now + hb, Ev::EpDetect { ep, gen });
-            }
-            Ev::EpDetect { ep, gen } => {
-                if eps[ep].up || eps[ep].gen != gen {
-                    continue; // recovered (or crashed again) meanwhile
-                }
-                detections += 1;
-                if trace_on {
-                    if let Some(t) = tele.as_deref() {
-                        t.tracer.instant(
-                            format!("ep {ep} detected down"),
-                            "fabric",
-                            now.0,
-                            t.pid(),
-                            1,
-                        );
-                    }
-                }
-                eps[ep].known_down = true;
-                let mut displaced: Vec<usize> = eps[ep].orphans.drain(..).collect();
-                displaced.extend(eps[ep].waiting.drain(..));
-                for inv in displaced {
-                    eps[ep].outstanding -= 1;
-                    backoff_or_drop!(inv, now);
-                }
-            }
-            Ev::EpRecover(ep) => {
-                if eps[ep].up {
-                    continue;
-                }
-                recoveries += 1;
-                if trace_on {
-                    if let Some(t) = tele.as_deref() {
-                        t.tracer
-                            .instant(format!("ep {ep} recover"), "fabric", now.0, t.pid(), 1);
-                    }
-                }
-                let e = &mut eps[ep];
-                e.up = true;
-                e.known_down = false;
-                e.scale.settle(now);
-                e.scale.active = match autoscale {
-                    Some(a) => a.min_slots.min(endpoints[ep].slots).max(1),
-                    None => endpoints[ep].slots,
-                };
-                debug_assert_eq!(e.scale.busy, 0);
-                // Orphans not yet detected restart here: their payloads
-                // already live on the endpoint.
-                for inv in std::mem::take(&mut e.orphans) {
-                    orphans_restarted += 1;
-                    e.waiting.push_back(inv);
-                }
-                try_start(
-                    env,
-                    registry,
-                    endpoints,
-                    &mut queue,
-                    &mut eps,
-                    &mut invs,
-                    ep,
-                    now,
-                    invocations,
-                    cold,
-                );
-            }
-        }
-    }
-
-    let end_time = invs
-        .iter()
-        .filter_map(|s| s.done_at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let completed = latencies.len() as u64;
-    debug_assert_eq!(
-        completed + dropped + rejected,
-        invocations.len() as u64,
-        "invocation conservation"
-    );
-    let span = end_time.as_secs_f64();
-    let slot_seconds: f64 = eps
-        .iter_mut()
-        .map(|e| {
-            e.scale.settle(end_time);
-            e.scale.slot_seconds
-        })
-        .sum();
-    let per_endpoint: Vec<u64> = eps.iter().map(|e| e.completions).collect();
-    let report = FabricReport {
-        completed,
-        throughput_hz: if span > 0.0 {
-            completed as f64 / span
-        } else {
-            0.0
-        },
-        jain: jain_fairness(&per_endpoint.iter().map(|&c| c as f64).collect::<Vec<_>>()),
-        per_endpoint,
-        latencies_s: latencies,
-        end_time,
-        slot_seconds,
-        reroutes,
-        retries,
-        dropped,
-        rejected,
-        lost_work_s,
-    };
-    if let Some(t) = tele.as_deref() {
-        let m = &t.metrics;
-        m.inc("fabric.invocations", invocations.len() as u64);
-        m.inc("fabric.completed", completed);
-        m.record("fabric.reroutes", reroutes);
-        m.record("fabric.retries", retries);
-        m.record("fabric.dropped", dropped);
-        m.record("fabric.rejected", rejected);
-        m.record("fabric.failovers", failovers);
-        m.record("fabric.detections", detections);
-        m.record("fabric.recoveries", recoveries);
-        m.record("fabric.orphans_restarted", orphans_restarted);
-        m.set_gauge("fabric.lost_work_s", lost_work_s);
-        if span > 0.0 {
-            m.set_gauge("fabric.throughput_hz", completed as f64 / span);
-        }
-        for (ep, &c) in report.per_endpoint.iter().enumerate() {
-            m.inc_labeled("fabric.endpoint_completions", ep as u32, c);
-        }
-        // Exported latency distribution IS the report's shared histogram
-        // (see `FabricReport::latency_histogram`): one construction path
-        // for report quantiles and telemetry.
-        let mut snap = continuum_obs::MetricsSnapshot::new();
-        snap.merge_histogram("fabric.latency", &report.latency_histogram());
-        m.absorb(&snap);
-    }
-    report
-}
-
-/// Pick an endpoint among `candidates` under `policy`; `None` iff the
-/// candidate set is empty (every endpoint known-down).
-#[allow(clippy::too_many_arguments)]
-fn choose_endpoint(
-    env: &Env,
-    endpoints: &[Endpoint],
-    eps: &[EpState],
-    candidates: &[usize],
-    policy: RoutingPolicy,
-    rr_next: &mut usize,
-    spec: &crate::registry::FunctionSpec,
-    origin: NodeId,
-    now: SimTime,
-) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(match policy {
-        RoutingPolicy::RoundRobin => {
-            let ep = candidates[*rr_next % candidates.len()];
-            *rr_next += 1;
-            ep
-        }
-        RoutingPolicy::LeastOutstanding => candidates
-            .iter()
-            .copied()
-            .min_by_key(|&e| (eps[e].outstanding, e))
-            .expect("candidates non-empty"),
-        RoutingPolicy::Locality => {
-            candidates
-                .iter()
-                .copied()
-                .map(|e| {
-                    let dev = &env.fleet.device(endpoints[e].device);
-                    let ep_node = dev.node;
-                    let tin = env
-                        .path(origin, ep_node)
-                        .expect("disconnected topology")
-                        .transfer_time(spec.in_bytes);
-                    let tout = env
-                        .path(ep_node, origin)
-                        .expect("disconnected topology")
-                        .transfer_time(spec.out_bytes);
-                    let exec = dev
-                        .spec
-                        .compute_time_parallel(spec.work_flops, spec.parallelism);
-                    let mut lanes = eps[e].lane_est.clone();
-                    lanes.sort_unstable();
-                    let start = (now + tin).max(lanes[0]);
-                    (start + exec + tout, e)
-                })
-                .min()
-                .expect("candidates non-empty")
-                .1
-        }
-    })
-}
-
-/// Per-endpoint elastic slot accounting.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScaleState {
-    pub(crate) active: u32,
-    pub(crate) busy: u32,
-    pub(crate) slot_seconds: f64,
-    pub(crate) last_change: SimTime,
-}
-
-impl ScaleState {
-    pub(crate) fn settle(&mut self, now: SimTime) {
-        self.slot_seconds += self.active as f64 * now.since(self.last_change).as_secs_f64();
-        self.last_change = now;
-    }
-
-    pub(crate) fn grow(&mut self, now: SimTime) {
-        self.settle(now);
-        self.active += 1;
-    }
-
-    pub(crate) fn shrink_to(&mut self, target: u32, now: SimTime) {
-        if target < self.active {
-            self.settle(now);
-            self.active = target;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn try_start(
-    env: &Env,
-    registry: &FunctionRegistry,
-    endpoints: &[Endpoint],
-    queue: &mut EventQueue<Ev>,
-    eps: &mut [EpState],
-    invs: &mut [InvState],
-    ep: usize,
-    now: SimTime,
-    invocations: &[Invocation],
-    cold: Option<ColdStart>,
-) {
-    if !eps[ep].up {
-        return;
-    }
-    while eps[ep].scale.busy < eps[ep].scale.active {
-        let Some(inv) = eps[ep].waiting.pop_front() else {
-            break;
-        };
-        eps[ep].scale.busy += 1;
-        let spec = registry.get(invocations[inv].function);
-        let dev = &env.fleet.device(endpoints[ep].device);
-        let mut exec = dev
-            .spec
-            .compute_time_parallel(spec.work_flops, spec.parallelism);
-        if let Some(cs) = cold {
-            // Endpoint-level warmth: one cold boot warms the whole pool.
-            if now > eps[ep].warm_until {
-                exec += cs.cold_time;
-            }
-            eps[ep].warm_until = (now + exec) + cs.keep_warm;
-        }
-        invs[inv].exec_start = now;
-        eps[ep].running.push(inv);
-        let epoch = invs[inv].epoch;
-        queue.schedule_at(now + exec, Ev::ExecDone { ep, inv, epoch });
-    }
+    let sites = single_site(env, endpoints);
+    run_federation(env, registry, endpoints, &sites, invocations, cfg).fabric
 }
 
 /// Build one endpoint per device of the given tier(s), slots = cores.
@@ -1026,7 +335,7 @@ mod tests {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ] {
-            let rep = run_fabric(&env, &reg, &eps, &invs, policy);
+            let rep = run_fabric(&env, &reg, &eps, &invs, &FederationCfg::new(policy));
             assert_eq!(rep.completed, invs.len() as u64, "{}", policy.label());
             assert_eq!(
                 rep.per_endpoint.iter().sum::<u64>(),
@@ -1045,14 +354,26 @@ mod tests {
     #[test]
     fn round_robin_is_perfectly_balanced() {
         let (env, reg, eps, invs) = setup();
-        let rep = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::RoundRobin);
+        let rep = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg::new(RoutingPolicy::RoundRobin),
+        );
         assert!(rep.jain > 0.99, "jain {}", rep.jain);
     }
 
     #[test]
     fn latency_exceeds_bare_service_time() {
         let (env, reg, eps, invs) = setup();
-        let rep = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::Locality);
+        let rep = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg::new(RoutingPolicy::Locality),
+        );
         // Minimum possible latency: transfer in + exec + transfer out > 0.
         for &l in &rep.latencies_s {
             assert!(l > 0.0);
@@ -1075,7 +396,13 @@ mod tests {
                 function: f,
             })
             .collect();
-        let rep = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::RoundRobin);
+        let rep = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg::new(RoutingPolicy::RoundRobin),
+        );
         assert_eq!(rep.completed, 64);
         let (p50, _, p99) = rep.latency_percentiles();
         // With more work than slots, late invocations wait: p99 >> p50.
@@ -1129,7 +456,13 @@ mod tests {
     #[test]
     fn latency_histogram_matches_exact_percentiles_within_bucket_error() {
         let (env, reg, eps, invs) = setup();
-        let rep = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::Locality);
+        let rep = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg::new(RoutingPolicy::Locality),
+        );
         let (p50, p95, p99) = rep.latency_percentiles();
         for (q, exact) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
             let est_s = rep.latency_quantile_ns(q) as f64 / 1e9;
@@ -1148,7 +481,13 @@ mod tests {
         let (env, reg, eps, invs) = setup();
         let tele = std::rc::Rc::new(continuum_obs::Telemetry::new(false));
         let rep = continuum_obs::with_ambient(&tele, || {
-            run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::RoundRobin)
+            run_fabric(
+                &env,
+                &reg,
+                &eps,
+                &invs,
+                &FederationCfg::new(RoutingPolicy::RoundRobin),
+            )
         });
         let snap = tele.metrics.snapshot();
         let exported = snap.histogram("fabric.latency").expect("exported");
@@ -1188,17 +527,25 @@ mod cold_tests {
     fn cold_start_adds_latency_to_sparse_traffic() {
         let (env, reg, eps) = setup();
         let invs = sparse_invocations(&env, 30.0, 10);
-        let warm = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::RoundRobin);
-        let cold = run_fabric_cfg(
+        let warm = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::RoundRobin,
-            Some(ColdStart {
-                cold_time: SimDuration::from_secs(2),
-                keep_warm: SimDuration::from_secs(5),
-            }),
+            &FederationCfg::new(RoutingPolicy::RoundRobin),
+        );
+        let cold = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg {
+                cold: Some(ColdStart {
+                    cold_time: SimDuration::from_secs(2),
+                    keep_warm: SimDuration::from_secs(5),
+                }),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         // 30 s gaps with a 5 s keep-warm: every invocation boots cold.
         let (w50, _, _) = warm.latency_percentiles();
@@ -1211,16 +558,18 @@ mod cold_tests {
         let (env, reg, eps) = setup();
         // A tight burst: only the first invocation per endpoint boots.
         let invs = sparse_invocations(&env, 0.01, 20);
-        let cold = run_fabric_cfg(
+        let cold = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::RoundRobin,
-            Some(ColdStart {
-                cold_time: SimDuration::from_secs(2),
-                keep_warm: SimDuration::from_secs(60),
-            }),
+            &FederationCfg {
+                cold: Some(ColdStart {
+                    cold_time: SimDuration::from_secs(2),
+                    keep_warm: SimDuration::from_secs(60),
+                }),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         let boots = cold.latencies_s.iter().filter(|&&l| l > 2.0).count();
         // At most one boot per endpoint touched.
@@ -1270,15 +619,22 @@ mod autoscale_tests {
     fn autoscaling_cuts_provisioning_cost() {
         let (env, reg, eps) = setup();
         let invs = bursty(&env, 90, 5);
-        let fixed = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::LeastOutstanding);
-        let elastic = run_fabric_elastic(
+        let fixed = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::LeastOutstanding,
-            None,
-            Some(Autoscale { min_slots: 1 }),
+            &FederationCfg::new(RoutingPolicy::LeastOutstanding),
+        );
+        let elastic = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg {
+                autoscale: Some(Autoscale { min_slots: 1 }),
+                ..FederationCfg::new(RoutingPolicy::LeastOutstanding)
+            },
         );
         assert_eq!(elastic.completed, invs.len() as u64);
         // Bursty-idle traffic: elastic provisioning uses a fraction of the
@@ -1303,7 +659,13 @@ mod autoscale_tests {
     fn static_slot_seconds_equals_capacity_times_span() {
         let (env, reg, eps) = setup();
         let invs = bursty(&env, 30, 7);
-        let rep = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::RoundRobin);
+        let rep = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg::new(RoutingPolicy::RoundRobin),
+        );
         let total_slots: u32 = eps.iter().map(|e| e.slots).sum();
         let expected = total_slots as f64 * rep.end_time.as_secs_f64();
         assert!((rep.slot_seconds - expected).abs() < 1e-6 * expected);
@@ -1321,14 +683,15 @@ mod autoscale_tests {
             })
             .collect();
         let one = vec![eps[0].clone()];
-        let rep = run_fabric_elastic(
+        let rep = run_fabric(
             &env,
             &reg,
             &one,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            Some(Autoscale { min_slots: 1 }),
+            &FederationCfg {
+                autoscale: Some(Autoscale { min_slots: 1 }),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         assert_eq!(rep.completed, 200);
         // The integral cannot exceed full provisioning of the one endpoint.
@@ -1357,14 +720,15 @@ mod autoscale_tests {
                 function: FunctionId(0),
             })
             .collect();
-        let rep = run_fabric_elastic(
+        let rep = run_fabric(
             &env,
             &reg,
             &one,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            Some(Autoscale { min_slots: 1 }),
+            &FederationCfg {
+                autoscale: Some(Autoscale { min_slots: 1 }),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         assert_eq!(rep.completed, n as u64, "shrink stranded running work");
         // Active capacity must have covered every running invocation for
@@ -1389,7 +753,7 @@ mod fault_tests {
     use super::*;
     use continuum_model::standard_fleet;
     use continuum_net::{continuum, ContinuumSpec, Tier};
-    use continuum_sim::SimDuration;
+    use continuum_sim::{FaultKind, SimDuration};
 
     fn setup() -> (Env, FunctionRegistry, Vec<Endpoint>) {
         let built = continuum(&ContinuumSpec::default());
@@ -1425,24 +789,22 @@ mod fault_tests {
     fn no_faults_matches_fault_free_run() {
         let (env, reg, eps) = setup();
         let invs = steady(&env, 40, 0.25);
-        let plain = run_fabric_elastic(
+        let plain = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::LeastOutstanding,
-            None,
-            None,
+            &FederationCfg::new(RoutingPolicy::LeastOutstanding),
         );
-        let faulty = run_fabric_faulty(
+        let faulty = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::LeastOutstanding,
-            None,
-            None,
-            Some(&faults_with(FaultSchedule::new())),
+            &FederationCfg {
+                faults: Some(faults_with(FaultSchedule::new())),
+                ..FederationCfg::new(RoutingPolicy::LeastOutstanding)
+            },
         );
         assert_eq!(plain.completed, faulty.completed);
         assert_eq!(plain.latencies_s, faulty.latencies_s);
@@ -1464,15 +826,15 @@ mod fault_tests {
             SimTime::from_secs(2),
             SimDuration::from_secs(300),
         );
-        let rep = run_fabric_faulty(
+        let rep = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            None,
-            Some(&faults_with(schedule)),
+            &FederationCfg {
+                faults: Some(faults_with(schedule)),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         // Everything completes (survivors absorb the displaced work)...
         assert_eq!(rep.completed + rep.dropped, invs.len() as u64);
@@ -1497,15 +859,15 @@ mod fault_tests {
             SimTime::from_secs(1),
             SimDuration::from_millis(100),
         );
-        let rep = run_fabric_faulty(
+        let rep = run_fabric(
             &env,
             &reg,
             &one,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            None,
-            Some(&faults_with(schedule)),
+            &FederationCfg {
+                faults: Some(faults_with(schedule)),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         assert_eq!(rep.completed, invs.len() as u64);
         assert_eq!(rep.reroutes, 0, "nothing re-routed: crash was undetected");
@@ -1524,15 +886,15 @@ mod fault_tests {
             SimTime::from_millis(1),
             SimDuration::from_secs(30),
         );
-        let rep = run_fabric_faulty(
+        let rep = run_fabric(
             &env,
             &reg,
             &one,
             &invs,
-            RoutingPolicy::Locality,
-            None,
-            None,
-            Some(&faults_with(schedule)),
+            &FederationCfg {
+                faults: Some(faults_with(schedule)),
+                ..FederationCfg::new(RoutingPolicy::Locality)
+            },
         );
         assert_eq!(
             rep.completed + rep.dropped,
@@ -1556,15 +918,15 @@ mod fault_tests {
         schedule.push(SimTime::from_millis(1), FaultKind::EndpointCrash, 0);
         let mut faults = faults_with(schedule);
         faults.backoff.max_retries = 3;
-        let rep = run_fabric_faulty(
+        let rep = run_fabric(
             &env,
             &reg,
             &one,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            None,
-            Some(&faults),
+            &FederationCfg {
+                faults: Some(faults),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         assert_eq!(rep.completed, 0);
         assert_eq!(rep.dropped, invs.len() as u64);
@@ -1601,7 +963,7 @@ mod admission_tests {
     use super::*;
     use continuum_model::standard_fleet;
     use continuum_net::{continuum, ContinuumSpec, Tier};
-    use continuum_sim::SimDuration;
+    use continuum_sim::{FaultKind, SimDuration};
 
     fn setup() -> (Env, FunctionRegistry, Vec<Endpoint>) {
         let built = continuum(&ContinuumSpec::default());
@@ -1632,16 +994,15 @@ mod admission_tests {
         // an in-system cap of 8: the first 8 are admitted, the rest
         // bounce off the gate.
         let invs = burst(&env, 200, 1e-6);
-        let rep = run_fabric_admission(
+        let rep = run_fabric(
             &env,
             &reg,
             &one,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            None,
-            None,
-            Some(Admission { max_outstanding: 8 }),
+            &FederationCfg {
+                admission: Some(Admission { max_outstanding: 8 }),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         assert_eq!(rep.completed + rep.dropped + rep.rejected, 200);
         assert_eq!(rep.rejected, 192);
@@ -1653,19 +1014,24 @@ mod admission_tests {
     fn unbounded_gate_is_a_noop() {
         let (env, reg, eps) = setup();
         let invs = burst(&env, 60, 0.05);
-        let plain = run_fabric(&env, &reg, &eps, &invs, RoutingPolicy::LeastOutstanding);
-        let gated = run_fabric_admission(
+        let plain = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::LeastOutstanding,
-            None,
-            None,
-            None,
-            Some(Admission {
-                max_outstanding: usize::MAX,
-            }),
+            &FederationCfg::new(RoutingPolicy::LeastOutstanding),
+        );
+        let gated = run_fabric(
+            &env,
+            &reg,
+            &eps,
+            &invs,
+            &FederationCfg {
+                admission: Some(Admission {
+                    max_outstanding: usize::MAX,
+                }),
+                ..FederationCfg::new(RoutingPolicy::LeastOutstanding)
+            },
         );
         assert_eq!(gated.rejected, 0);
         assert_eq!(plain.completed, gated.completed);
@@ -1685,23 +1051,23 @@ mod admission_tests {
             SimTime::from_secs(1),
             SimDuration::from_secs(300),
         );
-        let rep = run_fabric_admission(
+        let rep = run_fabric(
             &env,
             &reg,
             &eps,
             &invs,
-            RoutingPolicy::RoundRobin,
-            None,
-            None,
-            Some(&EndpointFaults {
-                schedule,
-                heartbeat: SimDuration::from_millis(500),
-                backoff: Backoff::default(),
-                seed: 9,
-            }),
-            Some(Admission {
-                max_outstanding: 12,
-            }),
+            &FederationCfg {
+                faults: Some(EndpointFaults {
+                    schedule,
+                    heartbeat: SimDuration::from_millis(500),
+                    backoff: Backoff::default(),
+                    seed: 9,
+                }),
+                admission: Some(Admission {
+                    max_outstanding: 12,
+                }),
+                ..FederationCfg::new(RoutingPolicy::RoundRobin)
+            },
         );
         // The cap bites under this burst, the crash displaces admitted
         // work, and every invocation is still accounted for exactly once.

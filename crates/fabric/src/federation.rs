@@ -1,13 +1,13 @@
 //! Federated multi-broker fabric: per-site brokers, batched dispatch,
 //! warm-container pools, and broker-peer takeover.
 //!
-//! The single [`crate::broker`] loop pays its dispatch overhead — the
-//! admission scan, the candidate build, the endpoint policy scan, two
-//! heap operations — once *per invocation*. This module promotes the
-//! fabric to a funcX-style federation of **sites**: each site is a broker
-//! owning a pool of endpoints (sites are derived from
-//! [`RegionPartition`] regions), and a [`Forwarder`] routes every
-//! invocation to a site through the shared epoch-tagged route cache.
+//! [`run_federation`] is the fabric's one event loop. Each **site** is a
+//! broker owning a pool of endpoints (sites are derived from
+//! [`RegionPartition`] regions, or [`single_site`] puts every endpoint in
+//! one), and a [`Forwarder`] routes every invocation to a site through the
+//! shared epoch-tagged route cache. A single broker is the degenerate
+//! case — one site, batch 1 — and [`crate::broker::run_fabric`] is exactly
+//! that call.
 //!
 //! # Batched dispatch
 //!
@@ -16,11 +16,11 @@
 //! buffered, or after [`FederationCfg::drain_every`] of sim time,
 //! whichever comes first. One drain pays the candidate refresh and batch
 //! bookkeeping once for the whole batch; the admission gate is a
-//! maintained O(1) counter instead of the baseline's per-arrival
-//! O(endpoints) sum; and arrivals enter through a sorted cursor instead
-//! of per-invocation heap events. Batching trades sim-time latency
-//! (buffered invocations wait for the drain) for dispatch throughput —
-//! exactly the funcX forwarder trade.
+//! maintained O(1) counter instead of a per-arrival O(endpoints) sum; and
+//! arrivals enter through a sorted cursor instead of per-invocation heap
+//! events. Batching trades sim-time latency (buffered invocations wait
+//! for the drain) for dispatch throughput — exactly the funcX forwarder
+//! trade.
 //!
 //! # Warm-container pools
 //!
@@ -39,27 +39,26 @@
 //! dead site's displaced work — orphans, queued work, and buffered
 //! ingress — through the forwarding layer, entering the peer's ingress
 //! as one batch instead of per-invocation backoff. Only when no peer
-//! survives does displaced work fall back to the single-broker
-//! backoff-and-retry path. This generalizes the PR-2 broker-restart
-//! failover to peer takeover.
+//! survives does displaced work fall back to the endpoint-level
+//! backoff-and-retry path.
 //!
-//! # Equivalence oracle
+//! # Single-broker identity
 //!
 //! A federation with **one site and batch size 1** (no warm pool, no site
-//! faults) must be *bit-identical* to [`run_fabric_faulty`] /
-//! [`run_fabric_admission`]: same completions, same latencies in the same
-//! order, same retry/reroute/drop counters, same slot-seconds. The
-//! engine is written around that invariant — shared endpoint-state
-//! constructor, same event ordering (arrivals before same-time events,
-//! fault events before same-time runtime events), the same policy scans,
-//! and route lookups whose cached results are exactly what the baseline
-//! recomputes. `tests/proptests.rs` pins the identity across random
-//! loads, fault schedules, admission caps, and policies; the `fabric`
-//! bench asserts it again before timing.
+//! faults) behaves exactly as a per-invocation single broker: same
+//! completions, same latencies in the same order, same
+//! retry/reroute/drop counters, same slot-seconds. The loop keeps that
+//! invariant by construction — same event ordering (arrivals before
+//! same-time events, fault events before same-time runtime events), the
+//! same policy scans, and route lookups whose cached results are exactly
+//! what recomputing returns. `tests/proptests.rs` pins it against a
+//! test-only single-broker loop (`tests/reference/`) across random loads,
+//! fault schedules, cold starts, autoscaling, admission caps, and
+//! policies.
 
 use crate::broker::{
-    ep_states, Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, EpState,
-    FabricReport, Invocation, RoutingPolicy,
+    Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, FabricReport, Invocation,
+    RoutingPolicy,
 };
 use crate::forwarder::Forwarder;
 use crate::registry::{FunctionId, FunctionRegistry, FunctionSpec};
@@ -70,12 +69,6 @@ use continuum_sim::{jain_fairness, EventQueue, FaultKind, Rng, SimDuration, SimT
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-
-// Re-exported here for rustdoc links.
-#[allow(unused_imports)]
-use crate::broker::run_fabric_admission;
-#[allow(unused_imports)]
-use crate::broker::run_fabric_faulty;
 
 /// Identifier of a federation site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -108,7 +101,7 @@ pub struct Site {
 /// Each site's broker lives on its first endpoint's node.
 ///
 /// With `max_sites == 1` this returns a single site owning every endpoint
-/// in index order — the federation arm comparable to the single broker.
+/// in index order, like [`single_site`].
 pub fn sites_from_partition(
     env: &Env,
     partition: &RegionPartition,
@@ -143,7 +136,7 @@ pub fn sites_from_partition(
 }
 
 /// One site owning every endpoint — the centralized arm of a federated
-/// sweep and the shape the equivalence oracle runs in.
+/// sweep and the shape [`crate::broker::run_fabric`] runs in.
 pub fn single_site(env: &Env, endpoints: &[Endpoint]) -> Vec<Site> {
     assert!(!endpoints.is_empty(), "no endpoints");
     vec![Site {
@@ -237,18 +230,17 @@ pub struct FederationCfg {
     /// Endpoint- and site-level routing policy.
     pub policy: RoutingPolicy,
     /// Invocations buffered per site before an immediate drain (1 =
-    /// per-invocation dispatch, the oracle-comparable setting).
+    /// per-invocation dispatch).
     pub batch: usize,
     /// Longest a buffered invocation waits before a timer drain.
     pub drain_every: SimDuration,
-    /// Per-endpoint cold-start window (the single-broker model); ignored
-    /// when `warm_pool` is set.
+    /// Per-endpoint cold-start window; ignored when `warm_pool` is set.
     pub cold: Option<ColdStart>,
     /// Per-site warm-container pool (overrides `cold`).
     pub warm_pool: Option<WarmPool>,
-    /// Elastic slot provisioning, as in the single broker.
+    /// Elastic slot provisioning of every endpoint.
     pub autoscale: Option<Autoscale>,
-    /// Endpoint-level fault injection, as in the single broker.
+    /// Endpoint-level fault injection.
     pub faults: Option<EndpointFaults>,
     /// Site-level fault injection with peer takeover.
     pub site_faults: Option<SiteFaults>,
@@ -264,8 +256,8 @@ pub struct FederationCfg {
 }
 
 impl FederationCfg {
-    /// Per-invocation dispatch (batch 1), no cold start, no autoscale, no
-    /// faults, no admission — the shape bit-comparable to `run_fabric`.
+    /// Per-invocation dispatch (batch 1) with no cold start, autoscale,
+    /// faults, admission, or health plane.
     pub fn new(policy: RoutingPolicy) -> FederationCfg {
         FederationCfg {
             policy,
@@ -301,12 +293,12 @@ pub struct SiteStats {
     pub cold_boots: u64,
 }
 
-/// Result of a federation run: the single-broker-compatible
-/// [`FabricReport`] plus federation-level counters.
+/// Result of a federation run: the [`FabricReport`] every fabric run
+/// returns plus federation-level counters.
 #[derive(Debug, Clone)]
 pub struct FederationReport {
-    /// The oracle-comparable aggregate (completions, latencies in
-    /// completion order, per-endpoint counts, retry/drop counters).
+    /// The fabric aggregate (completions, latencies in completion order,
+    /// per-endpoint counts, retry/drop counters).
     pub fabric: FabricReport,
     /// Per-site counters, indexed by site id.
     pub sites: Vec<SiteStats>,
@@ -329,9 +321,87 @@ pub struct FederationReport {
     /// Forwarder route-cache misses.
     pub route_misses: u64,
     /// SLO burn-rate summary and flight-recorder timeline; present iff
-    /// [`FederationCfg::health`] was set. Not part of the
-    /// oracle-comparable surface (identity checks compare `fabric`).
+    /// [`FederationCfg::health`] was set. Identity checks compare
+    /// `fabric`, not this.
     pub health: Option<HealthReport>,
+}
+
+/// Per-endpoint state of one run.
+struct EpState {
+    scale: ScaleState,
+    waiting: VecDeque<usize>,
+    outstanding: u32,
+    warm_until: SimTime,
+    /// Slot-availability estimates for the Locality policy.
+    lane_est: Vec<SimTime>,
+    up: bool,
+    /// Down *and* past its detection heartbeat: excluded from routing.
+    known_down: bool,
+    /// Crash generation, to match detect events to the right outage.
+    gen: u32,
+    /// Invocations currently executing here.
+    running: Vec<usize>,
+    /// Invocations killed by a crash, awaiting detection or recovery.
+    orphans: Vec<usize>,
+    completions: u64,
+}
+
+/// Initial per-endpoint state.
+fn ep_states(endpoints: &[Endpoint], autoscale: Option<Autoscale>) -> Vec<EpState> {
+    endpoints
+        .iter()
+        .map(|e| EpState {
+            scale: ScaleState {
+                active: match autoscale {
+                    Some(a) => a.min_slots.min(e.slots).max(1),
+                    None => e.slots,
+                },
+                busy: 0,
+                slot_seconds: 0.0,
+                last_change: SimTime::ZERO,
+            },
+            waiting: VecDeque::new(),
+            outstanding: 0,
+            // SimTime::ZERO means "cold since the beginning": the first
+            // touch of every endpoint pays the cold-start tax.
+            warm_until: SimTime::ZERO,
+            lane_est: vec![SimTime::ZERO; e.slots as usize],
+            up: true,
+            known_down: false,
+            gen: 0,
+            running: Vec::new(),
+            orphans: Vec::new(),
+            completions: 0,
+        })
+        .collect()
+}
+
+/// Per-endpoint elastic slot accounting.
+#[derive(Debug, Clone, Copy)]
+struct ScaleState {
+    active: u32,
+    busy: u32,
+    slot_seconds: f64,
+    last_change: SimTime,
+}
+
+impl ScaleState {
+    fn settle(&mut self, now: SimTime) {
+        self.slot_seconds += self.active as f64 * now.since(self.last_change).as_secs_f64();
+        self.last_change = now;
+    }
+
+    fn grow(&mut self, now: SimTime) {
+        self.settle(now);
+        self.active += 1;
+    }
+
+    fn shrink_to(&mut self, target: u32, now: SimTime) {
+        if target < self.active {
+            self.settle(now);
+            self.active = target;
+        }
+    }
 }
 
 /// Per-invocation federation state.
@@ -360,8 +430,8 @@ struct SiteState {
     /// Site-local round-robin cursor.
     rr_ep: usize,
     /// Member endpoints not known-down, ascending — rebuilt only on
-    /// routability transitions, so drains skip the per-invocation
-    /// candidate build the single broker pays.
+    /// routability transitions, so drains skip a per-invocation
+    /// candidate build.
     cand: Vec<usize>,
     /// Warm-pool LRU (front = least recently used).
     warm: Vec<FunctionId>,
@@ -408,8 +478,7 @@ enum FEv {
 ///
 /// `sites` must partition `endpoints` (every endpoint in exactly one
 /// site). See the module docs for semantics; `completed + dropped +
-/// rejected == invocations.len()` always holds on the report, and the
-/// 1-site/batch-1 arm is bit-identical to [`run_fabric_admission`].
+/// rejected == invocations.len()` always holds on the report.
 #[allow(clippy::too_many_lines)]
 pub fn run_federation(
     env: &Env,
@@ -477,11 +546,11 @@ pub fn run_federation(
     let mut rejected = 0u64;
     let mut lost_work_s = 0.0f64;
     // Maintained in-system count (assigned + buffered): the O(1)
-    // admission gate. The 1-site/batch-1 value at arrival time equals the
-    // baseline's per-arrival sum over endpoint outstanding exactly.
+    // admission gate. The 1-site/batch-1 value at arrival time equals a
+    // per-arrival sum over endpoint outstanding exactly.
     let mut in_system = 0usize;
-    // Jitter stream: endpoint-fault seed when present (baseline
-    // compatible), else the site-fault seed.
+    // Jitter stream: endpoint-fault seed when present, else the
+    // site-fault seed.
     let mut jitter_rng = Rng::new(
         cfg.faults
             .as_ref()
@@ -527,8 +596,8 @@ pub fn run_federation(
 
     // Arrival cursor: indices stably sorted by arrival time. Equal-time
     // arrivals keep index order and arrivals win ties against queue
-    // events — exactly the baseline heap's (time, seq) order, without
-    // two heap operations per invocation.
+    // events — exactly a heap's (time, seq) order, without two heap
+    // operations per invocation.
     let mut order: Vec<usize> = (0..invocations.len()).collect();
     order.sort_by_key(|&i| invocations[i].arrival);
 
@@ -674,7 +743,7 @@ pub fn run_federation(
                             }
                         }
                     } else if let Some(cs) = cfg.cold {
-                        // Endpoint-level warmth, exactly the baseline.
+                        // Endpoint-level warmth: one boot warms the pool.
                         if now > eps[ep].warm_until {
                             exec += cs.cold_time;
                         }
@@ -1317,8 +1386,7 @@ fn fed_flow_id(inv: usize, epoch: u32) -> u64 {
 }
 
 /// Pick an endpoint among a site's `candidates` under `policy`; `None`
-/// iff the candidate set is empty. Mirrors the single broker's
-/// `choose_endpoint` exactly, with the route lookups going through the
+/// iff the candidate set is empty. Route lookups go through the
 /// forwarder's cache (bit-identical results, amortized cost).
 #[allow(clippy::too_many_arguments)]
 fn choose_in_site(
@@ -1378,7 +1446,7 @@ fn choose_in_site(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::{endpoints_on, run_fabric, run_fabric_admission};
+    use crate::broker::endpoints_on;
     use continuum_model::standard_fleet;
     use continuum_net::{continuum, continuum_regions, ContinuumSpec, Tier};
 
@@ -1441,73 +1509,6 @@ mod tests {
         let one = sites_from_partition(&env, &partition, &endpoints, 1);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].endpoints.len(), endpoints.len());
-    }
-
-    #[test]
-    fn one_site_batch_one_is_bit_identical_to_single_broker() {
-        let (env, partition, sensors) = world();
-        let (registry, endpoints, invocations) = workload(&env, &sensors, 300, 120.0, 42);
-        for policy in [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::LeastOutstanding,
-            RoutingPolicy::Locality,
-        ] {
-            let oracle = run_fabric(&env, &registry, &endpoints, &invocations, policy);
-            for sites in [
-                single_site(&env, &endpoints),
-                sites_from_partition(&env, &partition, &endpoints, 1),
-            ] {
-                let fed = run_federation(
-                    &env,
-                    &registry,
-                    &endpoints,
-                    &sites,
-                    &invocations,
-                    &FederationCfg::new(policy),
-                );
-                assert_eq!(fed.fabric, oracle, "{}", policy.label());
-            }
-        }
-    }
-
-    #[test]
-    fn one_site_batch_one_identity_with_admission_cold_autoscale() {
-        let (env, _, sensors) = world();
-        let (registry, endpoints, invocations) = workload(&env, &sensors, 400, 400.0, 7);
-        let cold = Some(ColdStart {
-            cold_time: SimDuration::from_millis(500),
-            keep_warm: SimDuration::from_secs(2),
-        });
-        let autoscale = Some(Autoscale { min_slots: 1 });
-        let admission = Some(Admission {
-            max_outstanding: 24,
-        });
-        let policy = RoutingPolicy::LeastOutstanding;
-        let oracle = run_fabric_admission(
-            &env,
-            &registry,
-            &endpoints,
-            &invocations,
-            policy,
-            cold,
-            autoscale,
-            None,
-            admission,
-        );
-        let mut cfg = FederationCfg::new(policy);
-        cfg.cold = cold;
-        cfg.autoscale = autoscale;
-        cfg.admission = admission;
-        let fed = run_federation(
-            &env,
-            &registry,
-            &endpoints,
-            &single_site(&env, &endpoints),
-            &invocations,
-            &cfg,
-        );
-        assert_eq!(fed.fabric, oracle);
-        assert!(fed.fabric.rejected > 0, "gate exercised");
     }
 
     #[test]

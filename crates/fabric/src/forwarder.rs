@@ -4,15 +4,15 @@
 //! Every invocation enters the federation at one origin node and is
 //! *forwarded* to a site broker, which dispatches it onto one of the
 //! site's endpoints. Payload legs (origin → endpoint, endpoint → origin)
-//! are timed with the same analytic path model as the single-broker
-//! fabric, but the [`Path`] lookups are memoized in the epoch-tagged
-//! [`RouteCache`] shared across all sites: a fabric run resolves the same
-//! (origin, endpoint-node) pairs thousands of times, and the cache turns
-//! each repeat into a hash probe instead of a predecessor walk. Because
+//! are timed with the analytic path model, but the [`Path`] lookups are
+//! memoized in the epoch-tagged [`RouteCache`] shared across all sites: a
+//! fabric run resolves the same (origin, endpoint-node) pairs thousands of
+//! times, and the cache turns each repeat into a hash probe instead of a
+//! predecessor walk. Because
 //! the cached value is exactly what recomputing would return (the cache
 //! invariant), forwarded transfers stay bit-identical to the uncached
-//! single-broker path — the federation's equivalence oracle depends on
-//! this.
+//! path computation — the federation's single-broker identity depends
+//! on this.
 
 use continuum_net::{NodeId, RouteCache, RouteCacheStats};
 use continuum_placement::Env;
@@ -75,8 +75,8 @@ impl Forwarder {
     /// round-robin cycles live sites, least-outstanding picks the least
     /// loaded site (ties by id), locality picks the site whose broker is
     /// cheapest to reach from `origin` (ties by id). With a single live
-    /// site every policy collapses to that site, which is what makes the
-    /// 1-site federation arm comparable to the single broker.
+    /// site every policy collapses to that site, which is what makes a
+    /// 1-site federation a single broker.
     #[allow(clippy::too_many_arguments)]
     pub fn choose_site(
         &mut self,

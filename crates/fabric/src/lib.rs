@@ -3,8 +3,12 @@
 //! Federated function-as-a-service fabric — the funcX analogue of the
 //! `coding-the-continuum` reproduction. Functions are registered once with
 //! a resource profile ([`FunctionRegistry`]); *endpoints* (worker pools on
-//! fleet devices) execute them; the broker routes each invocation under a
-//! [`RoutingPolicy`] and simulates queueing and payload movement.
+//! fleet devices) execute them; per-site brokers route each invocation
+//! under a [`RoutingPolicy`] and simulate queueing and payload movement.
+//!
+//! [`run_federation`] is the one event loop. [`run_fabric`] runs it as a
+//! single broker: one site owning every endpoint. Both take the same
+//! [`FederationCfg`].
 //!
 //! Experiment F7 measures throughput, latency percentiles, and endpoint
 //! load balance for each routing policy.
@@ -17,8 +21,7 @@ pub mod forwarder;
 pub mod registry;
 
 pub use broker::{
-    endpoints_on, run_fabric, run_fabric_admission, run_fabric_cfg, run_fabric_elastic,
-    run_fabric_faulty, Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults,
+    endpoints_on, run_fabric, Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults,
     EndpointId, FabricReport, Invocation, RoutingPolicy,
 };
 pub use federation::{

@@ -1,9 +1,13 @@
-//! Property-based tests for the function fabric.
+//! Property-based tests for the function fabric, and the identity tests
+//! that hold a one-site, batch-1 federation to the single-broker
+//! reference in `reference/`.
+
+mod reference;
 
 use continuum_fabric::{
-    endpoints_on, run_fabric, run_fabric_faulty, run_federation, sites_from_partition, Backoff,
-    EndpointFaults, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent,
-    SiteFaults,
+    endpoints_on, run_fabric, run_federation, single_site, sites_from_partition, Admission,
+    Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, FederationCfg, FunctionRegistry,
+    Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
 };
 use continuum_model::standard_fleet;
 use continuum_net::{continuum, continuum_regions, ContinuumSpec, RegionPartition, Tier};
@@ -36,6 +40,27 @@ fn partitioned_world() -> (Env, RegionPartition, Vec<continuum_net::NodeId>) {
     let env = Env::new(built.topology.clone(), standard_fleet(&built));
     let partition = RegionPartition::new(&env.topology, continuum_regions(&spec), 0);
     (env, partition, sensors)
+}
+
+/// No cold start, or a boot tax and keep-warm window drawn from ranges.
+fn cold_start() -> impl Strategy<Value = Option<ColdStart>> {
+    (any::<bool>(), 1u64..2_000, 0u64..5_000).prop_map(|(on, cold_ms, warm_ms)| {
+        on.then(|| ColdStart {
+            cold_time: SimDuration::from_millis(cold_ms),
+            keep_warm: SimDuration::from_millis(warm_ms),
+        })
+    })
+}
+
+/// Static provisioning, or autoscaling with a floor of 1..=4 slots.
+fn autoscale() -> impl Strategy<Value = Option<Autoscale>> {
+    (any::<bool>(), 1u32..5).prop_map(|(on, min_slots)| on.then_some(Autoscale { min_slots }))
+}
+
+/// No admission gate, or an in-system cap in 1..64.
+fn admission() -> impl Strategy<Value = Option<Admission>> {
+    (any::<bool>(), 1usize..64)
+        .prop_map(|(on, max_outstanding)| on.then_some(Admission { max_outstanding }))
 }
 
 proptest! {
@@ -73,7 +98,7 @@ proptest! {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ][policy_idx];
-        let rep = run_fabric(&env, &registry, &endpoints, &invocations, policy);
+        let rep = run_fabric(&env, &registry, &endpoints, &invocations, &FederationCfg::new(policy));
         prop_assert_eq!(rep.completed, n as u64);
         prop_assert_eq!(rep.latencies_s.len(), n);
         prop_assert_eq!(rep.per_endpoint.iter().sum::<u64>(), n as u64);
@@ -112,7 +137,7 @@ proptest! {
                 function: f,
             })
             .collect();
-        let rep = run_fabric(&env, &registry, &endpoints, &invocations, RoutingPolicy::Locality);
+        let rep = run_fabric(&env, &registry, &endpoints, &invocations, &FederationCfg::new(RoutingPolicy::Locality));
         for &l in &rep.latencies_s {
             prop_assert!(l >= min_exec, "latency {l} below bare exec {min_exec}");
         }
@@ -166,16 +191,7 @@ proptest! {
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ][policy_idx];
-        let rep = run_fabric_faulty(
-            &env,
-            &registry,
-            &endpoints,
-            &invocations,
-            policy,
-            None,
-            None,
-            Some(&faults),
-        );
+        let rep = run_fabric(&env, &registry, &endpoints, &invocations, &FederationCfg { faults: Some(faults), ..FederationCfg::new(policy) });
         prop_assert_eq!(rep.completed + rep.dropped, n as u64, "invocation lost or duplicated");
         prop_assert_eq!(rep.latencies_s.len() as u64, rep.completed);
         prop_assert!(rep.retries >= rep.reroutes);
@@ -238,11 +254,12 @@ proptest! {
         }
     }
 
-    /// The federation's equivalence oracle, under chaos: a 1-site
-    /// federation at batch 1 reproduces `run_fabric_faulty` bit-for-bit —
-    /// same latencies in the same order, same retry/reroute/drop
-    /// counters, same slot-seconds — for any load, policy, and
-    /// endpoint-level fault schedule.
+    /// The single-broker identity, under chaos: a 1-site federation at
+    /// batch 1 — and `run_fabric`, which is one — reproduces the reference
+    /// broker bit-for-bit (same latencies in the same order, same
+    /// retry/reroute/drop/reject counters, same slot-seconds) for any
+    /// load, policy, endpoint-level fault schedule, cold start, autoscale
+    /// floor, and admission cap.
     #[test]
     fn federation_single_site_identical_under_faults(
         seed in any::<u64>(),
@@ -251,6 +268,9 @@ proptest! {
         policy_idx in 0usize..3,
         mttf_s in 5.0f64..60.0,
         mttr_s in 0.5f64..20.0,
+        cold in cold_start(),
+        autoscale in autoscale(),
+        admission in admission(),
     ) {
         let (env, partition, sensors) = partitioned_world();
         let mut registry = FunctionRegistry::new();
@@ -277,32 +297,27 @@ proptest! {
             },
             ..FaultScheduleSpec::default()
         };
-        let faults = EndpointFaults {
-            schedule: continuum_sim::FaultSchedule::generate(&spec, seed ^ 0xFA17),
-            heartbeat: SimDuration::from_millis(500),
-            backoff: Backoff::default(),
-            seed: seed ^ 0xBAC0,
-        };
         let policy = [
             RoutingPolicy::RoundRobin,
             RoutingPolicy::LeastOutstanding,
             RoutingPolicy::Locality,
         ][policy_idx];
-        let oracle = run_fabric_faulty(
-            &env,
-            &registry,
-            &endpoints,
-            &invocations,
-            policy,
-            None,
-            None,
-            Some(&faults),
-        );
-        let sites = sites_from_partition(&env, &partition, &endpoints, 1);
         let mut cfg = FederationCfg::new(policy);
-        cfg.faults = Some(faults);
+        cfg.cold = cold;
+        cfg.autoscale = autoscale;
+        cfg.admission = admission;
+        cfg.faults = Some(EndpointFaults {
+            schedule: continuum_sim::FaultSchedule::generate(&spec, seed ^ 0xFA17),
+            heartbeat: SimDuration::from_millis(500),
+            backoff: Backoff::default(),
+            seed: seed ^ 0xBAC0,
+        });
+        let expected = reference::single_broker(&env, &registry, &endpoints, &invocations, &cfg);
+        let sites = sites_from_partition(&env, &partition, &endpoints, 1);
         let fed = run_federation(&env, &registry, &endpoints, &sites, &invocations, &cfg);
-        prop_assert_eq!(&fed.fabric, &oracle);
+        prop_assert_eq!(&fed.fabric, &expected);
+        let single = run_fabric(&env, &registry, &endpoints, &invocations, &cfg);
+        prop_assert_eq!(&single, &expected);
     }
 
     /// Federated-vs-centralized conservation under *site* failures: for
@@ -380,4 +395,73 @@ proptest! {
             }
         }
     }
+}
+
+/// Fog and cloud endpoints with a Poisson stream of one inference
+/// function from the sensors.
+fn fog_cloud_workload(
+    env: &Env,
+    sensors: &[continuum_net::NodeId],
+    n: usize,
+    rate: f64,
+    seed: u64,
+) -> (FunctionRegistry, Vec<Endpoint>, Vec<Invocation>) {
+    let mut registry = FunctionRegistry::new();
+    let f = registry.register("infer", 5e9, 200 << 10, 1 << 10);
+    let mut devices = env.fleet.in_tier(Tier::Fog);
+    devices.extend(env.fleet.in_tier(Tier::Cloud));
+    let endpoints = endpoints_on(env, &devices);
+    let mut rng = Rng::new(seed);
+    let mut t = 0.0;
+    let invocations = (0..n)
+        .map(|i| {
+            t += rng.exp(rate);
+            Invocation {
+                arrival: SimTime::from_secs_f64(t),
+                origin: sensors[i % sensors.len()],
+                function: f,
+            }
+        })
+        .collect();
+    (registry, endpoints, invocations)
+}
+
+#[test]
+fn one_site_batch_one_is_bit_identical_to_single_broker() {
+    let (env, partition, sensors) = partitioned_world();
+    let (registry, endpoints, invocations) = fog_cloud_workload(&env, &sensors, 300, 120.0, 42);
+    for policy in [
+        RoutingPolicy::RoundRobin,
+        RoutingPolicy::LeastOutstanding,
+        RoutingPolicy::Locality,
+    ] {
+        let cfg = FederationCfg::new(policy);
+        let expected = reference::single_broker(&env, &registry, &endpoints, &invocations, &cfg);
+        for sites in [
+            single_site(&env, &endpoints),
+            sites_from_partition(&env, &partition, &endpoints, 1),
+        ] {
+            let fed = run_federation(&env, &registry, &endpoints, &sites, &invocations, &cfg);
+            assert_eq!(fed.fabric, expected, "{}", policy.label());
+        }
+    }
+}
+
+#[test]
+fn one_site_batch_one_identity_with_admission_cold_autoscale() {
+    let (env, _, sensors) = partitioned_world();
+    let (registry, endpoints, invocations) = fog_cloud_workload(&env, &sensors, 400, 400.0, 7);
+    let mut cfg = FederationCfg::new(RoutingPolicy::LeastOutstanding);
+    cfg.cold = Some(ColdStart {
+        cold_time: SimDuration::from_millis(500),
+        keep_warm: SimDuration::from_secs(2),
+    });
+    cfg.autoscale = Some(Autoscale { min_slots: 1 });
+    cfg.admission = Some(Admission {
+        max_outstanding: 24,
+    });
+    let expected = reference::single_broker(&env, &registry, &endpoints, &invocations, &cfg);
+    let fed = run_fabric(&env, &registry, &endpoints, &invocations, &cfg);
+    assert_eq!(fed, expected);
+    assert!(fed.rejected > 0, "gate exercised");
 }

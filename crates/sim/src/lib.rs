@@ -11,7 +11,6 @@
 //! - [`time`]: integer-nanosecond virtual time ([`SimTime`], [`SimDuration`]).
 //! - [`events`]: a cancellable event calendar with deterministic tie-breaking
 //!   ([`EventQueue`]).
-//! - [`engine`]: a driver loop for reactive models ([`Model`], [`run_until`]).
 //! - [`rng`]: a self-contained xoshiro256\*\* PRNG and the distributions the
 //!   workload generators need ([`Rng`]).
 //! - [`stats`]: online statistics for the experiment harness.
@@ -21,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod events;
 pub mod fault;
 pub mod rng;
@@ -29,7 +27,6 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use engine::{run_to_completion, run_until, Model, RunStats};
 pub use events::{EventId, EventQueue, QueueStats};
 pub use fault::{FaultEvent, FaultKind, FaultProcess, FaultSchedule, FaultScheduleSpec};
 pub use rng::Rng;

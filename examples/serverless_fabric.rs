@@ -9,7 +9,9 @@
 //! policies are compared on throughput, latency, and endpoint balance.
 
 use continuum_core::prelude::*;
-use continuum_fabric::{endpoints_on, run_fabric, FunctionRegistry, Invocation, RoutingPolicy};
+use continuum_fabric::{
+    endpoints_on, run_fabric, FederationCfg, FunctionRegistry, Invocation, RoutingPolicy,
+};
 
 fn main() {
     let world = Continuum::build(&Scenario::default_continuum());
@@ -49,7 +51,13 @@ fn main() {
         RoutingPolicy::LeastOutstanding,
         RoutingPolicy::Locality,
     ] {
-        let rep = run_fabric(world.env(), &registry, &endpoints, &invocations, policy);
+        let rep = run_fabric(
+            world.env(),
+            &registry,
+            &endpoints,
+            &invocations,
+            &FederationCfg::new(policy),
+        );
         let (p50, p95, p99) = rep.latency_percentiles();
         println!(
             "  {:<18} {:>10.1} {:>9.4} {:>9.4} {:>9.4} {:>7.3}",
