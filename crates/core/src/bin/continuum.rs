@@ -120,6 +120,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Write `contents` to `path`; on failure report it and exit 1.
+fn write_or_exit(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: writing {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 struct Opts {
     scenario: String,
     workload: String,
@@ -228,8 +236,7 @@ fn main() {
                 let report =
                     continuum_obs::with_ambient(&tele, || world.run(&dag, policy.as_ref()));
                 if let Some(path) = &o.trace {
-                    std::fs::write(path, tele.tracer.export_string())
-                        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+                    write_or_exit(path, tele.tracer.export_string());
                     eprintln!("trace: {path} ({} events)", tele.tracer.len());
                 }
                 if o.metrics {
@@ -350,7 +357,7 @@ fn main() {
                     use serde::Serialize as _;
                     let text = serde_json::to_string_pretty(&h.to_value())
                         .expect("health report serialize");
-                    std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+                    write_or_exit(path, text);
                     eprintln!(
                         "flight recorder: {path} ({} frames, {} anomalies)",
                         h.frames.len(),

@@ -86,6 +86,27 @@ impl CostMeter {
     pub fn total_usd(&self) -> f64 {
         self.occupancy_usd.iter().sum::<f64>() + self.egress_usd.iter().sum::<f64>()
     }
+
+    /// [`Self::total_usd`] summed over `devices` alone, which must be in
+    /// ascending id order and include every device with a nonzero charge.
+    /// Bit-identical to the fleet-wide sum: every skipped term is `+0.0`.
+    pub fn total_usd_of(&self, devices: &[DeviceId]) -> f64 {
+        let occupancy: f64 = devices
+            .iter()
+            .map(|d| self.occupancy_usd[d.0 as usize])
+            .sum();
+        let egress: f64 = devices.iter().map(|d| self.egress_usd[d.0 as usize]).sum();
+        occupancy + egress
+    }
+
+    /// Zero the charges of `devices`, keeping the allocation, so one meter
+    /// can score many schedules.
+    pub fn clear_devices(&mut self, devices: &[DeviceId]) {
+        for d in devices {
+            self.occupancy_usd[d.0 as usize] = 0.0;
+            self.egress_usd[d.0 as usize] = 0.0;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -85,14 +85,46 @@ impl EnergyMeter {
     /// plus their idle draw over the makespan. Models powering unused
     /// devices off — the "provision what you use" comparison point.
     pub fn used_devices_joules(&self, fleet: &Fleet, makespan: SimDuration) -> f64 {
+        self.used_joules(fleet, makespan, fleet.devices().iter().map(|d| d.id))
+    }
+
+    /// [`Self::used_devices_joules`] summed over `devices` alone, which
+    /// must be in ascending id order and include every device with busy
+    /// time. The sum is then bit-identical to the fleet-wide one: the
+    /// devices skipped contribute no term.
+    pub fn used_devices_joules_of(
+        &self,
+        fleet: &Fleet,
+        makespan: SimDuration,
+        devices: &[DeviceId],
+    ) -> f64 {
+        self.used_joules(fleet, makespan, devices.iter().copied())
+    }
+
+    fn used_joules(
+        &self,
+        fleet: &Fleet,
+        makespan: SimDuration,
+        devices: impl Iterator<Item = DeviceId>,
+    ) -> f64 {
         let mut total = 0.0;
-        for d in fleet.devices() {
-            let i = d.id.0 as usize;
+        for id in devices {
+            let i = id.0 as usize;
             if self.busy_seconds[i] > 0.0 {
-                total += d.spec.idle_watts * makespan.as_secs_f64() + self.busy_joules[i];
+                total +=
+                    fleet.device(id).spec.idle_watts * makespan.as_secs_f64() + self.busy_joules[i];
             }
         }
         total
+    }
+
+    /// Zero the accumulators of `devices`, keeping the allocation, so one
+    /// meter can score many schedules.
+    pub fn clear_devices(&mut self, devices: &[DeviceId]) {
+        for d in devices {
+            self.busy_joules[d.0 as usize] = 0.0;
+            self.busy_seconds[d.0 as usize] = 0.0;
+        }
     }
 }
 

@@ -27,21 +27,23 @@
 //! topological position: when task `u` is recomputed, every earlier task is
 //! final and every later task on `u`'s device has been retracted, so the
 //! slot search sees exactly the timeline the full replay would have shown
-//! it. Clean tasks are untouched by construction. Scoring goes through
-//! [`crate::objective::metrics_from_parts`] — the same code path a full
-//! evaluation uses — so scores (and hence annealing accept/reject
-//! decisions) are identical to the clone-and-replay oracle. The proptests
+//! it. Clean tasks are untouched by construction. Scoring reuses one set of
+//! meters across moves but runs the code a full evaluation
+//! ([`crate::objective::metrics_from_parts`]) runs, so scores (and hence
+//! annealing accept/reject decisions) are identical to the clone-and-replay
+//! oracle. The proptests
 //! in `tests/proptests.rs` check both equivalences on random move
 //! sequences.
 //!
 //! Every move also journals the state it overwrites — the dirtied tasks'
-//! schedule entries and a clone of each touched timeline — so a rejected
-//! move is reverted by [`DeltaEvaluator::undo_last_move`] with plain
-//! copies instead of a second propagation pass.
+//! schedule entries and a copy of each touched timeline, written into
+//! buffers kept from earlier moves — so a rejected move is reverted by
+//! [`DeltaEvaluator::undo_last_move`] with plain swaps instead of a second
+//! propagation pass.
 
 use crate::env::Env;
 use crate::estimate::{DeviceTimeline, EstimatedSchedule, Estimator, Placement};
-use crate::objective::{metrics_from_parts, Metrics};
+use crate::objective::{Metrics, MetricsScratch};
 use continuum_model::DeviceId;
 use continuum_sim::SimTime;
 use continuum_workflow::{Dag, TaskId};
@@ -76,12 +78,21 @@ pub struct DeltaEvaluator<'e> {
     /// Undo log for the last move: `(task, start, finish, need)` of every
     /// task dirtied, captured before its state changed.
     saved_tasks: Vec<(u32, SimTime, SimTime, u32)>,
-    /// Undo log: pre-move clones of every timeline the move mutated.
+    /// Undo log: pre-move copies of every timeline the move mutated, in
+    /// `saved_timelines[..n_saved]`; later entries keep their allocations
+    /// for reuse.
     saved_timelines: Vec<(u32, DeviceTimeline)>,
+    n_saved: usize,
     /// Epoch stamp per device: timeline already snapshotted this move.
     tl_saved: Vec<u64>,
     /// `(task, old device)` of the last state-changing move.
     last_move: Option<(u32, DeviceId)>,
+    /// Work queue and `mark` stack, kept between moves for their
+    /// allocations (both are empty outside `move_task`).
+    agenda: Agenda,
+    stack: Vec<u32>,
+    /// Meters reused by every [`Self::metrics`] call.
+    scratch: MetricsScratch,
     /// Tasks recomputed across all moves so far (work counter for benches).
     pub recomputed: u64,
 }
@@ -137,8 +148,12 @@ impl<'e> DeltaEvaluator<'e> {
             epoch: 0,
             saved_tasks: Vec::new(),
             saved_timelines: Vec::new(),
+            n_saved: 0,
             tl_saved: vec![0; env.fleet.len()],
             last_move: None,
+            agenda: Agenda::new(),
+            stack: Vec::new(),
+            scratch: MetricsScratch::new(&env.fleet),
             recomputed: 0,
         }
     }
@@ -160,9 +175,9 @@ impl<'e> DeltaEvaluator<'e> {
     }
 
     /// Score the current schedule — bit-identical to evaluating the
-    /// current assignment from scratch.
-    pub fn metrics(&self) -> Metrics {
-        metrics_from_parts(
+    /// current assignment from scratch, without allocating.
+    pub fn metrics(&mut self) -> Metrics {
+        self.scratch.metrics(
             self.env,
             self.dag,
             &self.assignment,
@@ -186,9 +201,9 @@ impl<'e> DeltaEvaluator<'e> {
         }
         self.epoch += 1;
         self.saved_tasks.clear();
-        self.saved_timelines.clear();
+        self.n_saved = 0;
         self.last_move = Some((t.0, old_dev));
-        let mut agenda: Agenda = Agenda::new();
+        let mut agenda = std::mem::take(&mut self.agenda);
 
         // Mark t while it is still assigned (and reserved) on the old
         // device: this retracts its reservation from the right timeline
@@ -209,13 +224,8 @@ impl<'e> DeltaEvaluator<'e> {
         let at = new_list.partition_point(|&x| pos[x as usize] < pos[ti]);
         new_list.insert(at, t.0);
         self.assignment[ti] = new_dev;
-
-        let incoming: Vec<u32> = self.on_dev[new_dev.0 as usize]
-            .iter()
-            .copied()
-            .filter(|&x| self.pos[x as usize] > self.pos[ti])
-            .collect();
-        for v in incoming {
+        // Marking the first later task closes over the rest.
+        if let Some(&v) = self.on_dev[new_dev.0 as usize].get(at + 1) {
             self.mark(v, &mut agenda);
         }
 
@@ -227,12 +237,13 @@ impl<'e> DeltaEvaluator<'e> {
             // The moved task's successors re-read their input's source
             // node even when its finish is unchanged.
             if changed || u == t {
-                let succs: Vec<u32> = self.dag.succs(u).iter().map(|s| s.0).collect();
-                for s in succs {
-                    self.mark(s, &mut agenda);
+                let dag = self.dag;
+                for s in dag.succs(u) {
+                    self.mark(s.0, &mut agenda);
                 }
             }
         }
+        self.agenda = agenda;
         self.recomputed += recomputed as u64;
         recomputed
     }
@@ -248,9 +259,10 @@ impl<'e> DeltaEvaluator<'e> {
             .expect("undo_last_move without a preceding move");
         let ti = t as usize;
         let new_dev = self.assignment[ti];
-        for (d, tl) in self.saved_timelines.drain(..) {
-            self.timelines[d as usize] = tl;
+        for (d, tl) in &mut self.saved_timelines[..self.n_saved] {
+            std::mem::swap(&mut self.timelines[*d as usize], tl);
         }
+        self.n_saved = 0;
         for &(v, s, f, need) in &self.saved_tasks {
             let vi = v as usize;
             self.start[vi] = s;
@@ -276,15 +288,24 @@ impl<'e> DeltaEvaluator<'e> {
     fn save_timeline(&mut self, d: usize) {
         if self.tl_saved[d] != self.epoch {
             self.tl_saved[d] = self.epoch;
-            self.saved_timelines
-                .push((d as u32, self.timelines[d].clone()));
+            match self.saved_timelines.get_mut(self.n_saved) {
+                Some((slot, tl)) => {
+                    *slot = d as u32;
+                    tl.clone_from(&self.timelines[d]);
+                }
+                None => self
+                    .saved_timelines
+                    .push((d as u32, self.timelines[d].clone())),
+            }
+            self.n_saved += 1;
         }
     }
 
     /// Dirty `u`: retract its reservation, queue it, and close over every
     /// later task on its device (whose slot search depended on it).
     fn mark(&mut self, u: u32, agenda: &mut Agenda) {
-        let mut stack = vec![u];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(u);
         while let Some(v) = stack.pop() {
             let vi = v as usize;
             if self.dirty[vi] == self.epoch {
@@ -309,6 +330,7 @@ impl<'e> DeltaEvaluator<'e> {
                     .filter(|&&w| self.dirty[w as usize] != self.epoch),
             );
         }
+        self.stack = stack;
     }
 
     /// Re-commit `u` on its (current) device; true if (start, finish)
@@ -399,7 +421,7 @@ mod tests {
     fn fresh_evaluator_matches_evaluate() {
         let (env, dag) = setup(42, 60);
         let p = HeftPlacer::default().place(&env, &dag);
-        let de = DeltaEvaluator::new(&env, &dag, &p);
+        let mut de = DeltaEvaluator::new(&env, &dag, &p);
         let (sched, m) = evaluate(&env, &dag, &p);
         assert_eq!(de.start, sched.start);
         assert_eq!(de.finish, sched.finish);

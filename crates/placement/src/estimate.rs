@@ -39,17 +39,21 @@ struct Busy {
 /// Capacity profile of one device.
 ///
 /// Alongside the raw interval list, the timeline maintains a sweep-line
-/// index: the sorted distinct endpoint times, the piecewise-constant core
-/// usage after each endpoint, and a suffix maximum of that usage. Peak
-/// queries then cost a binary search plus a walk of the endpoints inside
-/// the window (`peak_usage`) or O(log B) flat (`peak_usage_from`) — the
-/// seed recomputed usage from every interval at every candidate point,
-/// O(B²) per query and O(B³) per `earliest_slot`.
-#[derive(Debug, Clone)]
+/// index: the sorted distinct endpoint times and the piecewise-constant
+/// core usage after each endpoint. A reservation updates the index in
+/// place — two binary searches, ±`need` over the endpoints it overlaps,
+/// and at most one `Vec` shift per endpoint inserted or dropped — instead
+/// of rebuilding it. Peak queries cost a binary search plus a walk of the
+/// endpoints inside the window (`peak_usage`); the seed recomputed usage
+/// from every interval at every candidate point, O(B²) per query and
+/// O(B³) per `earliest_slot`.
+#[derive(Debug)]
 pub struct DeviceTimeline {
     cores: u32,
     busy: Vec<Busy>, // kept sorted by start
-    /// Sorted distinct endpoint times of `busy`.
+    /// Sorted distinct endpoint times of `busy`, none with a zero net
+    /// delta (so every entry is a real usage change — the gap search
+    /// below relies on that).
     times: Vec<SimTime>,
     /// Net core delta at `times[i]` (starts positive, ends negative).
     /// Ends and starts sharing a timestamp merge, which encodes the
@@ -58,8 +62,27 @@ pub struct DeviceTimeline {
     delta: Vec<i64>,
     /// Cores in use during `[times[i], times[i+1])`.
     usage: Vec<u32>,
-    /// `max(usage[i..])`, for open-ended peak queries.
-    suffix_max: Vec<u32>,
+}
+
+impl Clone for DeviceTimeline {
+    fn clone(&self) -> Self {
+        DeviceTimeline {
+            cores: self.cores,
+            busy: self.busy.clone(),
+            times: self.times.clone(),
+            delta: self.delta.clone(),
+            usage: self.usage.clone(),
+        }
+    }
+
+    /// Field-wise, so a reused timeline keeps its allocations.
+    fn clone_from(&mut self, src: &Self) {
+        self.cores = src.cores;
+        self.busy.clone_from(&src.busy);
+        self.times.clone_from(&src.times);
+        self.delta.clone_from(&src.delta);
+        self.usage.clone_from(&src.usage);
+    }
 }
 
 impl DeviceTimeline {
@@ -71,7 +94,6 @@ impl DeviceTimeline {
             times: Vec::new(),
             delta: Vec::new(),
             usage: Vec::new(),
-            suffix_max: Vec::new(),
         }
     }
 
@@ -106,45 +128,50 @@ impl DeviceTimeline {
     /// Maximum concurrent usage anywhere in `[t, ∞)`.
     fn peak_usage_from(&self, t: SimTime) -> u32 {
         let idx = self.sweep_index(t);
-        let later = self.suffix_max.get(idx).copied().unwrap_or(0);
+        let later = self.usage[idx..].iter().copied().max().unwrap_or(0);
         self.usage_at_index(idx).max(later)
     }
 
-    /// Add `d` cores at endpoint `t`, keeping `times` sorted, unique, and
-    /// free of net-zero entries (so every entry is a real usage change —
-    /// the gap search below relies on that).
-    fn insert_event(&mut self, t: SimTime, d: i64) {
+    /// Index of the endpoint at `t`, inserting a zero-delta entry (with the
+    /// usage of the segment it splits) if there is none.
+    fn endpoint(&mut self, t: SimTime) -> usize {
         match self.times.binary_search(&t) {
-            Ok(i) => {
-                self.delta[i] += d;
-                if self.delta[i] == 0 {
-                    self.times.remove(i);
-                    self.delta.remove(i);
-                }
-            }
+            Ok(i) => i,
             Err(i) => {
+                let u = self.usage_at_index(i);
                 self.times.insert(i, t);
-                self.delta.insert(i, d);
+                self.delta.insert(i, 0);
+                self.usage.insert(i, u);
+                i
             }
         }
     }
 
-    /// Recompute running usage and its suffix maximum from the deltas.
-    fn rebuild_sweep(&mut self) {
-        let n = self.times.len();
-        self.usage.resize(n, 0);
-        self.suffix_max.resize(n, 0);
-        let mut run = 0i64;
-        for i in 0..n {
-            run += self.delta[i];
-            debug_assert!(run >= 0, "sweep usage went negative");
-            self.usage[i] = run as u32;
+    /// Drop endpoint `i` if its net delta is zero: its usage then equals
+    /// the previous segment's, so the two segments merge.
+    fn drop_if_net_zero(&mut self, i: usize) {
+        if self.delta[i] == 0 {
+            self.times.remove(i);
+            self.delta.remove(i);
+            self.usage.remove(i);
         }
-        let mut peak = 0u32;
-        for i in (0..n).rev() {
-            peak = peak.max(self.usage[i]);
-            self.suffix_max[i] = peak;
+    }
+
+    /// Add `d` cores over `[start, end)` to the sweep index in place.
+    fn sweep_add(&mut self, start: SimTime, end: SimTime, d: i64) {
+        if start >= end || d == 0 {
+            return; // no segment changes
         }
+        let i = self.endpoint(start);
+        let j = self.endpoint(end);
+        self.delta[i] += d;
+        self.delta[j] -= d;
+        for u in &mut self.usage[i..j] {
+            *u = u32::try_from(i64::from(*u) + d).expect("sweep usage went negative");
+        }
+        // Higher index first, so `i` stays valid.
+        self.drop_if_net_zero(j);
+        self.drop_if_net_zero(i);
     }
 
     /// Earliest start `>= ready` at which `need` cores are free for `dur`.
@@ -160,8 +187,8 @@ impl DeviceTimeline {
     /// query costs O(log B) for the initial binary search plus one walk
     /// of the endpoints it crosses — versus the seed's candidate ×
     /// peak-scan product, O(B²) ([`DeviceTimeline::earliest_slot_scan`],
-    /// kept as the equivalence oracle). Append mode is a binary search on
-    /// the non-increasing suffix maximum, O(log B).
+    /// kept as the equivalence oracle). Append mode is one backward scan
+    /// for the last segment above the spare capacity, O(B).
     pub fn earliest_slot(
         &self,
         ready: SimTime,
@@ -183,10 +210,7 @@ impl DeviceTimeline {
                 i = j + 1;
             }
             loop {
-                if i >= self.times.len() || self.suffix_max[i] <= spare {
-                    return c; // nothing later can violate the window
-                }
-                if self.times[i] >= c + dur {
+                if i >= self.times.len() || self.times[i] >= c + dur {
                     return c; // window scanned clean
                 }
                 if self.usage[i] > spare {
@@ -200,15 +224,13 @@ impl DeviceTimeline {
         } else {
             // Append mode: the earliest start from which the device can
             // *permanently* spare `need` cores — no gap between existing
-            // reservations is ever used.
-            if self.peak_usage_from(ready) <= spare {
-                return ready;
-            }
-            let idx = self.sweep_index(ready);
-            let off = self.suffix_max[idx..].partition_point(|&m| m > spare);
-            // In-range by construction: usage after the last endpoint is
-            // zero, so the suffix maximum always drops to `spare` or less.
-            self.times[idx + off]
+            // reservations is ever used. That is the endpoint closing the
+            // last segment above `spare` (in range: usage after the last
+            // endpoint is zero), or `ready` if it is later.
+            self.usage
+                .iter()
+                .rposition(|&u| u > spare)
+                .map_or(ready, |k| self.times[k + 1].max(ready))
         }
     }
 
@@ -270,15 +292,15 @@ impl DeviceTimeline {
         };
         let pos = self.busy.partition_point(|x| x.start <= start);
         self.busy.insert(pos, b);
-        self.insert_event(b.start, i64::from(need));
-        self.insert_event(b.end, -i64::from(need));
-        self.rebuild_sweep();
+        self.sweep_add(b.start, b.end, i64::from(need));
     }
 
     /// Release a reservation previously made with [`DeviceTimeline::reserve`]
     /// (same `start`/`dur`/`need`). The delta-cost annealer uses this to
-    /// retract and re-place individual tasks without rebuilding the
-    /// timeline.
+    /// retract and re-place individual tasks; like `reserve`, it updates
+    /// the sweep index in place. An endpoint whose two sides had canceled
+    /// to net zero (and was dropped) is revived with the other side's
+    /// delta.
     ///
     /// # Panics
     /// If no matching reservation exists.
@@ -292,29 +314,7 @@ impl DeviceTimeline {
             .map(|i| lo + i)
             .expect("unreserve: no matching reservation");
         self.busy.remove(idx);
-        self.remove_event(start, i64::from(need));
-        self.remove_event(end, -i64::from(need));
-        self.rebuild_sweep();
-    }
-
-    /// Undo one `insert_event(t, d)` contribution, restoring the
-    /// no-net-zero-entries invariant.
-    fn remove_event(&mut self, t: SimTime, d: i64) {
-        match self.times.binary_search(&t) {
-            Ok(i) => {
-                self.delta[i] -= d;
-                if self.delta[i] == 0 {
-                    self.times.remove(i);
-                    self.delta.remove(i);
-                }
-            }
-            Err(i) => {
-                // The endpoint had canceled to net zero and was dropped;
-                // removing one side's contribution revives the other.
-                self.times.insert(i, t);
-                self.delta.insert(i, -d);
-            }
-        }
+        self.sweep_add(start, end, -i64::from(need));
     }
 
     /// Total reserved core-seconds.
@@ -563,6 +563,38 @@ mod tests {
         assert!((tl.busy_core_seconds() - 2.0).abs() < 1e-9);
     }
 
+    /// From-scratch sweep index `(times, delta, usage)` of `tl.busy`: the
+    /// oracle the in-place `reserve`/`unreserve` update is checked against.
+    fn rebuild_sweep(tl: &DeviceTimeline) -> (Vec<SimTime>, Vec<i64>, Vec<u32>) {
+        let mut events: Vec<(SimTime, i64)> = tl
+            .busy
+            .iter()
+            .flat_map(|b| [(b.start, i64::from(b.cores)), (b.end, -i64::from(b.cores))])
+            .collect();
+        events.sort_unstable();
+        let mut merged: Vec<(SimTime, i64)> = Vec::new();
+        for (t, d) in events {
+            match merged.last_mut() {
+                Some((last, sum)) if *last == t => *sum += d,
+                _ => merged.push((t, d)),
+            }
+        }
+        merged.retain(|&(_, d)| d != 0);
+        let mut run = 0i64;
+        let usage = merged
+            .iter()
+            .map(|&(_, d)| {
+                run += d;
+                u32::try_from(run).expect("usage went negative")
+            })
+            .collect();
+        (
+            merged.iter().map(|&(t, _)| t).collect(),
+            merged.iter().map(|&(_, d)| d).collect(),
+            usage,
+        )
+    }
+
     /// Brute-force peak over `[t, end)` straight from the interval list,
     /// the semantics the sweep-line index must reproduce.
     fn brute_peak(tl: &DeviceTimeline, t: SimTime, end: SimTime) -> u32 {
@@ -599,16 +631,8 @@ mod tests {
             let start = SimTime::from_secs((x >> 33) % 50);
             let dur = SimDuration::from_secs((x >> 21) % 7 + 1);
             let cores = ((x >> 11) % 3 + 1) as u32;
-            tl.busy.push(Busy {
-                start,
-                end: start + dur,
-                cores,
-            });
-            tl.insert_event(start, i64::from(cores));
-            tl.insert_event(start + dur, -i64::from(cores));
+            tl.reserve(start, dur, cores);
         }
-        tl.busy.sort_unstable_by_key(|b| b.start);
-        tl.rebuild_sweep();
         for t in 0..60u64 {
             for d in 1..8u64 {
                 let (from, dur) = (SimTime::from_secs(t), SimDuration::from_secs(d));
@@ -697,6 +721,37 @@ mod tests {
             tl.earliest_slot(SimTime::ZERO, SimDuration::from_secs(5), 1, true),
             SimTime::ZERO
         );
+    }
+
+    #[test]
+    fn in_place_updates_equal_rebuild() {
+        // Random reserve/unreserve interleavings on a coarse time grid, so
+        // endpoints are shared often: net-zero cancels, revivals, and
+        // zero-length reservations all occur.
+        let mut x = 0x5EED_CAFEu64;
+        for cores in [1u32, 3, 8] {
+            let mut tl = DeviceTimeline::new(cores);
+            let mut held: Vec<(SimTime, SimDuration, u32)> = Vec::new();
+            for step in 0..400 {
+                x = lcg(x);
+                if !held.is_empty() && x.is_multiple_of(3) {
+                    let (s, d, n) = held.swap_remove((x >> 8) as usize % held.len());
+                    tl.unreserve(s, d, n);
+                } else {
+                    x = lcg(x);
+                    let ready = SimTime::from_secs((x >> 33) % 30);
+                    let dur = SimDuration::from_secs((x >> 21) % 5);
+                    let need = ((x >> 11) % u64::from(cores) + 1) as u32;
+                    let s = tl.earliest_slot(ready, dur, need, x & 1 == 0);
+                    tl.reserve(s, dur, need);
+                    held.push((s, dur, need));
+                }
+                let (times, delta, usage) = rebuild_sweep(&tl);
+                assert_eq!(tl.times, times, "cores={cores} step={step}");
+                assert_eq!(tl.delta, delta, "cores={cores} step={step}");
+                assert_eq!(tl.usage, usage, "cores={cores} step={step}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::env::Env;
 use crate::estimate::{EstimatedSchedule, Estimator, Placement};
-use continuum_model::{CostMeter, EnergyMeter};
-use continuum_sim::SimDuration;
+use continuum_model::{CostMeter, DeviceId, EnergyMeter, Fleet};
+use continuum_sim::{SimDuration, SimTime};
 use continuum_workflow::Dag;
 use serde::{Deserialize, Serialize};
 
@@ -59,60 +59,112 @@ pub fn metrics_of(env: &Env, dag: &Dag, schedule: &EstimatedSchedule) -> Metrics
 }
 
 /// [`metrics_of`] over raw schedule arrays. The delta-cost annealer keeps
-/// its schedule as bare arrays and scores through this same function, so
-/// its scores are bit-identical to a full [`evaluate`] whenever the arrays
-/// agree.
+/// its schedule as bare arrays and scores through the same
+/// [`MetricsScratch::metrics`], so its scores are bit-identical to a full
+/// [`evaluate`] whenever the arrays agree.
 pub fn metrics_from_parts(
     env: &Env,
     dag: &Dag,
-    assignment: &[continuum_model::DeviceId],
-    start: &[continuum_sim::SimTime],
-    finish: &[continuum_sim::SimTime],
+    assignment: &[DeviceId],
+    start: &[SimTime],
+    finish: &[SimTime],
 ) -> Metrics {
-    let fleet = &env.fleet;
-    let mut energy = EnergyMeter::new(fleet);
-    let mut cost = CostMeter::new(fleet);
-    let mut bytes_moved: u64 = 0;
+    MetricsScratch::new(&env.fleet).metrics(env, dag, assignment, start, finish)
+}
 
-    for task in dag.tasks() {
-        let ti = task.id.0 as usize;
-        let dev = assignment[ti];
-        let spec = &fleet.device(dev).spec;
-        let dur = finish[ti].since(start[ti]);
-        let cores = task.occupancy(spec.cores);
-        energy.record_busy(fleet, dev, cores, dur);
-        cost.record_occupancy(fleet, dev, cores, dur);
+/// Energy and cost meters reused across scorings over one fleet. A
+/// scoring writes only the devices the schedule runs on or bills egress
+/// to, so only those are summed (in ascending id order, which keeps the
+/// sums bit-identical to fleet-wide ones) and cleared afterwards.
+pub(crate) struct MetricsScratch {
+    energy: EnergyMeter,
+    cost: CostMeter,
+    /// Devices written by the current scoring.
+    touched: Vec<DeviceId>,
+    /// `seen[d]`: `d` is in `touched`.
+    seen: Vec<bool>,
+}
 
-        // Charge transfers for each input that crosses nodes.
-        let dst = env.node_of(dev);
-        for &d in &task.inputs {
-            let item = dag.data(d);
-            let src = match dag.producer(d) {
-                Some(p) => env.node_of(assignment[p.0 as usize]),
-                None => item.home.expect("external item has home"),
-            };
-            if src != dst {
-                bytes_moved += item.bytes;
-                // Egress billed to the first billing device at the source
-                // node (if any).
-                if let Some(&src_dev) = fleet.at_node(src).first() {
-                    cost.record_egress(fleet, src_dev, item.bytes);
-                }
-            }
+impl MetricsScratch {
+    pub(crate) fn new(fleet: &Fleet) -> Self {
+        MetricsScratch {
+            energy: EnergyMeter::new(fleet),
+            cost: CostMeter::new(fleet),
+            touched: Vec::new(),
+            seen: vec![false; fleet.len()],
         }
     }
 
-    let makespan = finish
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(continuum_sim::SimTime::ZERO)
-        .since(continuum_sim::SimTime::ZERO);
-    Metrics {
-        makespan_s: makespan.as_secs_f64(),
-        energy_j: energy.used_devices_joules(fleet, makespan),
-        cost_usd: cost.total_usd(),
-        bytes_moved,
+    fn touch(&mut self, d: DeviceId) {
+        if !self.seen[d.0 as usize] {
+            self.seen[d.0 as usize] = true;
+            self.touched.push(d);
+        }
+    }
+
+    /// Score a schedule given as raw arrays.
+    pub(crate) fn metrics(
+        &mut self,
+        env: &Env,
+        dag: &Dag,
+        assignment: &[DeviceId],
+        start: &[SimTime],
+        finish: &[SimTime],
+    ) -> Metrics {
+        let fleet = &env.fleet;
+        let mut bytes_moved: u64 = 0;
+
+        for task in dag.tasks() {
+            let ti = task.id.0 as usize;
+            let dev = assignment[ti];
+            let spec = &fleet.device(dev).spec;
+            let dur = finish[ti].since(start[ti]);
+            let cores = task.occupancy(spec.cores);
+            self.energy.record_busy(fleet, dev, cores, dur);
+            self.cost.record_occupancy(fleet, dev, cores, dur);
+            self.touch(dev);
+
+            // Charge transfers for each input that crosses nodes.
+            let dst = env.node_of(dev);
+            for &d in &task.inputs {
+                let item = dag.data(d);
+                let src = match dag.producer(d) {
+                    Some(p) => env.node_of(assignment[p.0 as usize]),
+                    None => item.home.expect("external item has home"),
+                };
+                if src != dst {
+                    bytes_moved += item.bytes;
+                    // Egress billed to the first billing device at the
+                    // source node (if any).
+                    if let Some(&src_dev) = fleet.at_node(src).first() {
+                        self.cost.record_egress(fleet, src_dev, item.bytes);
+                        self.touch(src_dev);
+                    }
+                }
+            }
+        }
+
+        let makespan = finish
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(SimTime::ZERO)
+            .since(SimTime::ZERO);
+        self.touched.sort_unstable();
+        let metrics = Metrics {
+            makespan_s: makespan.as_secs_f64(),
+            energy_j: self
+                .energy
+                .used_devices_joules_of(fleet, makespan, &self.touched),
+            cost_usd: self.cost.total_usd_of(&self.touched),
+            bytes_moved,
+        };
+        self.energy.clear_devices(&self.touched);
+        self.cost.clear_devices(&self.touched);
+        for d in self.touched.drain(..) {
+            self.seen[d.0 as usize] = false;
+        }
+        metrics
     }
 }
 

@@ -22,6 +22,7 @@ use crate::delta::DeltaEvaluator;
 use crate::env::Env;
 use crate::estimate::Placement;
 use crate::objective::{evaluate, Metrics, WeightedObjective};
+use continuum_model::DeviceId;
 use continuum_sim::Rng;
 use continuum_workflow::{Dag, TaskId};
 use rayon::prelude::*;
@@ -57,11 +58,19 @@ impl Default for AnnealingPlacer {
 
 impl AnnealingPlacer {
     /// Anneal from `init`, returning the best placement and score found.
-    fn run_one(&self, env: &Env, dag: &Dag, init: &Placement, seed: u64) -> (Placement, f64) {
+    /// `movable` lists every unpinned task with its feasible devices.
+    fn run_one(
+        &self,
+        env: &Env,
+        dag: &Dag,
+        init: &Placement,
+        movable: &[(u32, Vec<DeviceId>)],
+        seed: u64,
+    ) -> (Placement, f64) {
         let mut rng = Rng::new(seed);
         let mut cur = init.clone();
         let mut delta = (!self.full_recompute).then(|| DeltaEvaluator::new(env, dag, init));
-        let m0 = match &delta {
+        let m0 = match &mut delta {
             Some(d) => d.metrics(),
             None => evaluate(env, dag, &cur).1,
         };
@@ -75,22 +84,13 @@ impl AnnealingPlacer {
         let alpha = (t_end / t0).powf(1.0 / self.iters.max(1) as f64);
         let mut temp = t0;
 
-        // Movable tasks: anything not pinned.
-        let movable: Vec<u32> = dag
-            .tasks()
-            .iter()
-            .filter(|t| t.constraints.pinned_node.is_none())
-            .map(|t| t.id.0)
-            .collect();
         if movable.is_empty() {
             return (cur, cur_score);
         }
 
         for _ in 0..self.iters {
-            let ti = movable[rng.index(movable.len())];
-            let task = dag.task(continuum_workflow::TaskId(ti));
-            let feas = env.feasible_devices(task);
-            let new_dev = *rng.choose(&feas);
+            let &(ti, ref feas) = &movable[rng.index(movable.len())];
+            let new_dev = *rng.choose(feas);
             let old_dev = cur.assignment[ti as usize];
             if new_dev == old_dev {
                 temp *= alpha;
@@ -137,10 +137,19 @@ impl Placer for AnnealingPlacer {
 
     fn place(&self, env: &Env, dag: &Dag) -> Placement {
         let init = HeftPlacer::default().place(env, dag);
+        // Movable tasks (anything not pinned) and their feasible devices,
+        // computed once rather than per move.
+        let movable: Vec<(u32, Vec<DeviceId>)> = dag
+            .tasks()
+            .iter()
+            .filter(|t| t.constraints.pinned_node.is_none())
+            .map(|t| (t.id.0, env.feasible_devices(t)))
+            .collect();
         let results: Vec<(u32, Placement, f64)> = (0..self.restarts)
             .into_par_iter()
             .map(|i| {
-                let (p, s) = self.run_one(env, dag, &init, self.seed.wrapping_add(i as u64));
+                let seed = self.seed.wrapping_add(i as u64);
+                let (p, s) = self.run_one(env, dag, &init, &movable, seed);
                 (i, p, s)
             })
             .collect();
