@@ -58,18 +58,10 @@ fn f3_schedulers(c: &mut Criterion) {
         b.iter(|| black_box(world.place(&dag, &HeftPlacer::default())))
     });
     g.bench_function("heft_append_ablation", |b| {
-        b.iter(|| {
-            black_box(world.place(
-                &dag,
-                &HeftPlacer {
-                    insertion: false,
-                    ..Default::default()
-                },
-            ))
-        })
+        b.iter(|| black_box(world.place(&dag, &HeftPlacer { insertion: false })))
     });
     g.bench_function("cpop", |b| {
-        b.iter(|| black_box(world.place(&dag, &CpopPlacer::default())))
+        b.iter(|| black_box(world.place(&dag, &CpopPlacer)))
     });
     g.bench_function("greedy_eft", |b| {
         b.iter(|| black_box(world.place(&dag, &GreedyEftPlacer::default())))

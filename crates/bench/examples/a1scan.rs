@@ -60,16 +60,8 @@ fn main() {
         let (mut wins, mut ties, mut losses, mut ratio) = (0, 0, 0, 0.0);
         for rep in 0..8u64 {
             let dag = staggered(&env, n, 500 + rep);
-            let s_ins = HeftPlacer {
-                insertion: true,
-                ..Default::default()
-            }
-            .schedule(&env, &dag);
-            let s_app = HeftPlacer {
-                insertion: false,
-                ..Default::default()
-            }
-            .schedule(&env, &dag);
+            let s_ins = HeftPlacer { insertion: true }.schedule(&env, &dag);
+            let s_app = HeftPlacer { insertion: false }.schedule(&env, &dag);
             let diff = s_ins
                 .start
                 .iter()

@@ -4,17 +4,17 @@
 //! cargo run --release -p continuum-bench --bin experiments            # all
 //! cargo run --release -p continuum-bench --bin experiments -- f1 f4  # some
 //! cargo run --release -p continuum-bench --bin experiments -- --json f1
-//! cargo run --release -p continuum-bench --bin experiments -- --serial
+//! CONTINUUM_EXPERIMENT_THREADS=1 cargo run --release -p continuum-bench --bin experiments
 //! ```
 //!
 //! Cells are independent — each seeds its own RNGs from fixed constants —
 //! so the suite fans out across rayon workers and a cell's output is
 //! bit-identical whether it ran alone, serially, or in parallel. Results
 //! are collected and emitted in request order regardless of which cell
-//! finished first. `--serial` forces one-at-a-time execution; use it when
-//! timing an individual cell (under the parallel driver, cells that
-//! measure their own wall-clock — F5's thread-scaling sweep — contend
-//! with sibling cells for cores).
+//! finished first. `CONTINUUM_EXPERIMENT_THREADS=1` runs the cells one at
+//! a time; use it when timing an individual cell (under a wider pool,
+//! cells that measure their own wall-clock — F5's thread-scaling sweep —
+//! contend with sibling cells for cores).
 
 use continuum_bench::experiments as exp;
 use continuum_bench::Table;
@@ -50,7 +50,6 @@ const ALL: [&str; 22] = [
 
 struct Args {
     json: bool,
-    serial: bool,
     metrics: bool,
     trace: Option<String>,
     which: Vec<String>,
@@ -58,7 +57,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut json = false;
-    let mut serial = false;
     let mut metrics = false;
     let mut trace = None;
     let mut which = Vec::new();
@@ -66,7 +64,6 @@ fn parse_args() -> Args {
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--serial" => serial = true,
             "--metrics" => metrics = true,
             // Shrink load-sweep cells (F15) so CI smoke runs stay fast.
             // Set before any cell runs; cells read it lazily per run.
@@ -79,7 +76,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--json] [--serial] [--metrics] [--smoke] [--trace FILE] [{}]",
+                    "usage: experiments [--json] [--metrics] [--smoke] [--trace FILE] [{}]",
                     ALL.join(" ")
                 );
                 std::process::exit(0);
@@ -89,7 +86,6 @@ fn parse_args() -> Args {
     }
     Args {
         json,
-        serial,
         metrics,
         trace,
         which,
@@ -282,7 +278,6 @@ fn main() {
     let threads = pool
         .as_ref()
         .map_or_else(rayon::current_num_threads, |p| p.current_num_threads());
-    let parallel = !args.serial && threads > 1 && which.len() > 1;
     let (want_metrics, want_trace) = (args.metrics, args.trace.is_some());
     let t0 = Instant::now();
     let indexed: Vec<(usize, &str)> = which.iter().copied().enumerate().collect();
@@ -293,16 +288,9 @@ fn main() {
             .map(|&(i, w)| run_cell(w, i as u32 + 1, want_metrics, want_trace))
             .collect()
     };
-    let results: Vec<(Vec<Table>, serde_json::Value, Option<CellTelemetry>)> = if !parallel {
-        which
-            .iter()
-            .enumerate()
-            .map(|(i, w)| run_cell(w, i as u32 + 1, want_metrics, want_trace))
-            .collect()
-    } else if let Some(pool) = &pool {
-        pool.install(fan_out)
-    } else {
-        fan_out()
+    let results = match &pool {
+        Some(pool) => pool.install(fan_out),
+        None => fan_out(),
     };
     let n_cells = results.len();
     for (tables, rows, _) in &results {
@@ -330,10 +318,9 @@ fn main() {
         }
     }
     eprintln!(
-        "experiments: {} cell(s) in {:.1}s ({} on {} thread(s))",
+        "experiments: {} cell(s) in {:.1}s on {} thread(s)",
         n_cells,
         t0.elapsed().as_secs_f64(),
-        if parallel { "parallel" } else { "serial" },
-        if parallel { threads } else { 1 },
+        threads.min(n_cells),
     );
 }

@@ -24,7 +24,8 @@
 //! ```
 //!
 //! `--smoke` shrinks the world so CI can check conservation and the JSON
-//! shape without paying the full measurement cost.
+//! shape without paying the full measurement cost; it writes
+//! `BENCH_fabric.smoke.json` instead.
 
 use continuum_fabric::{
     endpoints_on, run_federation, sites_from_partition, Admission, Backoff, Endpoint, FabricReport,
@@ -354,7 +355,5 @@ fn main() {
         "placement": placement,
         "failure": failure,
     });
-    let rendered = serde_json::to_string_pretty(&out).expect("render json");
-    std::fs::write("BENCH_fabric.json", &rendered).expect("write BENCH_fabric.json");
-    println!("{rendered}");
+    continuum_bench::write_bench_report("fabric", smoke, &out);
 }

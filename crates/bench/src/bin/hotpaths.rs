@@ -1,11 +1,11 @@
 //! hotpaths — microbenchmarks for the three optimized hot paths.
 //!
-//! Measures (1) all-pairs route-table construction, serial vs parallel,
-//! on a ~1000-node fat-tree; (2) 10k-flow start/remove churn through
-//! `FlowNetwork` on a ~500-node fat-tree, incremental engine vs the
-//! pre-overhaul engine vendored below as [`seed_flow`]; and (3) a HEFT
-//! placement sweep over a ~500-node continuum, which exercises the
-//! sweep-line device timelines.
+//! Measures (1) all-pairs route-table construction on a 1-thread pool vs
+//! the ambient pool, on a ~1000-node fat-tree; (2) 10k-flow start/remove
+//! churn through `FlowNetwork` on a ~500-node fat-tree, incremental
+//! engine vs the pre-overhaul engine vendored below as [`seed_flow`];
+//! and (3) a HEFT placement sweep over a ~500-node continuum, which
+//! exercises the sweep-line device timelines.
 //!
 //! Writes `BENCH_hotpaths.json` in the current directory so the repo's
 //! perf trajectory is recorded; run from the workspace root:
@@ -166,11 +166,16 @@ fn best_of<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// All-pairs Dijkstra over a ~1000-node fat-tree, serial vs rayon.
+/// All-pairs Dijkstra over a ~1000-node fat-tree, on a 1-thread pool vs
+/// the ambient pool.
 fn bench_route_table() -> serde_json::Value {
     let link = LinkSpec::new(SimDuration::from_micros(50), 1.25e9);
     let (topo, _) = fat_tree(14, 8, link); // 49 + 98 + 98 + 784 = 1029 nodes
-    let serial_ms = best_of(3, || RouteTable::build_serial(&topo));
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("rayon pool");
+    let serial_ms = best_of(3, || one.install(|| RouteTable::build(&topo)));
     let parallel_ms = best_of(3, || RouteTable::build(&topo));
     json!({
         "nodes": topo.node_count(),

@@ -27,7 +27,8 @@
 //! ```
 //!
 //! `--smoke` shrinks the workload so CI can assert equivalence and JSON
-//! emission without paying the full measurement cost.
+//! emission without paying the full measurement cost; it writes
+//! `BENCH_runtime.smoke.json` instead.
 
 use continuum_bench::seed_exec::simulate_stream_chaos_seed;
 use continuum_core::prelude::*;
@@ -334,7 +335,5 @@ fn main() {
              simulated number before timing, so `overhead` is pure observation cost.",
         ],
     });
-    let rendered = serde_json::to_string_pretty(&out).expect("render json");
-    std::fs::write("BENCH_runtime.json", &rendered).expect("write BENCH_runtime.json");
-    println!("{rendered}");
+    continuum_bench::write_bench_report("runtime", smoke, &out);
 }

@@ -98,16 +98,8 @@ pub fn run() -> (Vec<Table>, Vec<Row>) {
     const REPS: u64 = 6;
     for rep in 0..REPS {
         let dag = staggered_fanout(160, 0xA1_000 + rep);
-        let s_ins = HeftPlacer {
-            insertion: true,
-            ..Default::default()
-        }
-        .schedule(&lean, &dag);
-        let s_app = HeftPlacer {
-            insertion: false,
-            ..Default::default()
-        }
-        .schedule(&lean, &dag);
+        let s_ins = HeftPlacer { insertion: true }.schedule(&lean, &dag);
+        let s_app = HeftPlacer { insertion: false }.schedule(&lean, &dag);
         mean_ins += s_ins.makespan().as_secs_f64();
         mean_app += s_app.makespan().as_secs_f64();
     }

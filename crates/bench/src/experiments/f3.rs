@@ -42,8 +42,8 @@ pub fn run() -> (Table, Vec<Row>) {
         Box::new(GreedyEftPlacer::default()),
         Box::new(MinMinPlacer),
         Box::new(MaxMinPlacer),
-        Box::new(CpopPlacer::default()),
-        Box::new(PeftPlacer::default()),
+        Box::new(CpopPlacer),
+        Box::new(PeftPlacer),
         Box::new(HeftPlacer::default()),
     ];
     let mut rows = Vec::new();

@@ -35,8 +35,8 @@ fn policy_by_name(name: &str) -> Option<Box<dyn Placer>> {
         "data-aware" => Box::new(DataAwarePlacer),
         "min-min" => Box::new(MinMinPlacer),
         "max-min" => Box::new(MaxMinPlacer),
-        "cpop" => Box::new(CpopPlacer::default()),
-        "peft" => Box::new(PeftPlacer::default()),
+        "cpop" => Box::new(CpopPlacer),
+        "peft" => Box::new(PeftPlacer),
         "heft" => Box::new(HeftPlacer::default()),
         "anneal" => Box::new(AnnealingPlacer::default()),
         _ => return None,

@@ -99,24 +99,15 @@ pub struct RouteTable {
 impl RouteTable {
     /// Run Dijkstra from every node, one source per rayon task.
     ///
-    /// The result is bit-identical to [`RouteTable::build_serial`]: each
-    /// source's tree is computed independently and packed in source
-    /// order, so worker scheduling cannot reorder anything.
+    /// The result is bit-identical for every pool size (a 1-thread pool
+    /// runs the sources serially): each source's tree is computed
+    /// independently and packed in source order, so worker scheduling
+    /// cannot reorder anything.
     pub fn build(topo: &Topology) -> RouteTable {
         use rayon::prelude::*;
         let n = topo.node_count();
         let rows: Vec<(Vec<SimDuration>, Vec<Preds>)> = (0..n as u32)
             .into_par_iter()
-            .map(|src| dijkstra(topo, NodeId(src)))
-            .collect();
-        Self::assemble(n, rows)
-    }
-
-    /// Single-threaded [`RouteTable::build`]; the parallel/serial split
-    /// is benchmarked by `bench/src/bin/hotpaths.rs`.
-    pub fn build_serial(topo: &Topology) -> RouteTable {
-        let n = topo.node_count();
-        let rows: Vec<(Vec<SimDuration>, Vec<Preds>)> = (0..n as u32)
             .map(|src| dijkstra(topo, NodeId(src)))
             .collect();
         Self::assemble(n, rows)

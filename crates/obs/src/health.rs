@@ -8,7 +8,7 @@
 //! multi-window (5 m / 1 h) burn signal costs O(slots) memory however
 //! long the run. The [`HealthPlane`] couples two windows to a
 //! [`FlightRecorder`] — a ring buffer of sampled frames (burn rates,
-//! windowed p99, caller-supplied gauges) that is snapshotted on the
+//! sliding-window p99, caller-supplied gauges) that is snapshotted on the
 //! first anomaly (burn over threshold, saturation, takeover) and dumped
 //! as a JSON timeline at run end. Everything is keyed to *simulated*
 //! time and fed deterministically from the executors' own completion
@@ -176,7 +176,7 @@ impl BurnWindow {
         }
     }
 
-    /// Burn rate as of `now_ns`: (windowed bad fraction) / budget.
+    /// Burn rate as of `now_ns`: (bad fraction in the window) / budget.
     /// 0.0 for an empty window.
     pub fn burn(&self, now_ns: u64, budget: f64) -> f64 {
         let s = self.stats(now_ns);

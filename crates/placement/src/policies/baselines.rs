@@ -95,7 +95,7 @@ impl Placer for GreedyEftPlacer {
     fn place(&self, env: &Env, dag: &Dag) -> Placement {
         let mut est = Estimator::new(env, dag);
         for t in dag.topo_order() {
-            let best = best_eft_device(&est, env, dag, t, None, self.insertion, false);
+            let best = best_eft_device(&est, env, dag, t, None, self.insertion);
             est.commit(t, best, self.insertion);
         }
         est.into_schedule().placement
@@ -152,25 +152,19 @@ impl Placer for TierPlacer {
             } else {
                 Some((self.lo, self.hi))
             };
-            let best = best_eft_device(&est, env, dag, t, restrict, true, false);
+            let best = best_eft_device(&est, env, dag, t, restrict, true);
             est.commit(t, best, true);
         }
         est.into_schedule().placement
     }
 }
 
-/// Candidate pools smaller than this are always scanned serially: the
-/// fork/join overhead outweighs a handful of EFT probes.
-const PAR_SCAN_MIN: usize = 16;
-
 /// Minimum-EFT feasible device for `t`, optionally restricted to a tier
 /// range (falling back to the unrestricted feasible set if the restriction
 /// empties it). Ties break toward the lower device id.
 ///
-/// With `parallel`, the candidate probes run under rayon; each candidate's
-/// `(finish, device)` score is independent of scan order and the winner is
-/// reduced with the same total order as the serial scan, so the pick is
-/// bit-identical either way (proptested in `tests/proptests.rs`).
+/// The scan is serial: one EFT probe costs tens of nanoseconds, far too
+/// little to split across threads.
 pub(crate) fn best_eft_device(
     est: &Estimator<'_>,
     env: &Env,
@@ -178,7 +172,6 @@ pub(crate) fn best_eft_device(
     t: continuum_workflow::TaskId,
     tier_range: Option<(Tier, Tier)>,
     insertion: bool,
-    parallel: bool,
 ) -> DeviceId {
     let task = dag.task(t);
     let feas = env.feasible_devices(task);
@@ -197,19 +190,12 @@ pub(crate) fn best_eft_device(
         (!r.is_empty()).then_some(r)
     });
     let cands: &[DeviceId] = restricted.as_deref().unwrap_or(&feas);
-    let score = |d: DeviceId| (est.eft(t, d, insertion).1, d);
-    // A single-threaded pool would pay the materialization overhead with
-    // no upside; stay on the allocation-free serial scan there.
-    if parallel && cands.len() >= PAR_SCAN_MIN && rayon::current_num_threads() > 1 {
-        use rayon::prelude::*;
-        let scored: Vec<(continuum_sim::SimTime, DeviceId)> =
-            cands.into_par_iter().map(|&d| score(d)).collect();
-        scored.into_iter().min()
-    } else {
-        cands.iter().map(|&d| score(d)).min()
-    }
-    .expect("feasible set is non-empty")
-    .1
+    cands
+        .iter()
+        .map(|&d| (est.eft(t, d, insertion).1, d))
+        .min()
+        .expect("feasible set is non-empty")
+        .1
 }
 
 #[cfg(test)]

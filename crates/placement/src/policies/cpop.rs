@@ -13,25 +13,8 @@ use continuum_workflow::{Dag, TaskId};
 use std::collections::BinaryHeap;
 
 /// The CPOP placement policy.
-#[derive(Debug, Clone)]
-pub struct CpopPlacer {
-    /// Scan device candidates under rayon. Picks are bit-identical to the
-    /// serial scan (total-order tie-break on finish then device id).
-    pub parallel: bool,
-}
-
-impl Default for CpopPlacer {
-    fn default() -> Self {
-        CpopPlacer { parallel: true }
-    }
-}
-
-impl CpopPlacer {
-    /// Single-threaded candidate scans; the equivalence baseline.
-    pub fn serial() -> Self {
-        CpopPlacer { parallel: false }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct CpopPlacer;
 
 impl CpopPlacer {
     /// Downward ranks: longest mean-cost path from an entry task to `t`
@@ -144,21 +127,9 @@ impl Placer for CpopPlacer {
         }
         while let Some((_, std::cmp::Reverse(ti))) = ready.pop() {
             let t = TaskId(ti);
-            let device = if on_cp[ti as usize] {
-                match cp_device {
-                    Some(d) => d,
-                    None => super::baselines::best_eft_device(
-                        &est,
-                        env,
-                        dag,
-                        t,
-                        None,
-                        true,
-                        self.parallel,
-                    ),
-                }
-            } else {
-                super::baselines::best_eft_device(&est, env, dag, t, None, true, self.parallel)
+            let device = match cp_device.filter(|_| on_cp[ti as usize]) {
+                Some(d) => d,
+                None => super::baselines::best_eft_device(&est, env, dag, t, None, true),
             };
             est.commit(t, device, true);
             for &s in dag.succs(t) {
@@ -198,7 +169,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let placement = CpopPlacer::default().place(&env, &g);
+        let placement = CpopPlacer.place(&env, &g);
         assert_eq!(placement.assignment.len(), g.len());
         let (sched, m) = evaluate(&env, &g, &placement);
         assert!(sched.respects_dependencies(&g));
@@ -218,7 +189,7 @@ mod tests {
             g.add_task(format!("t{i}"), 1e10, vec![prev], vec![out]);
             prev = out;
         }
-        let placement = CpopPlacer::default().place(&env, &g);
+        let placement = CpopPlacer.place(&env, &g);
         let first = placement.assignment[0];
         assert!(placement.assignment.iter().all(|&d| d == first));
     }
@@ -234,9 +205,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(
-            CpopPlacer::default().place(&env, &g),
-            CpopPlacer::default().place(&env, &g)
-        );
+        assert_eq!(CpopPlacer.place(&env, &g), CpopPlacer.place(&env, &g));
     }
 }

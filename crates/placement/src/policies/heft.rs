@@ -18,27 +18,11 @@ use continuum_workflow::{Dag, TaskId};
 pub struct HeftPlacer {
     /// Insertion-based slot search (the ablation flag; `true` is standard).
     pub insertion: bool,
-    /// Scan device candidates under rayon. Picks are bit-identical to the
-    /// serial scan (total-order tie-break on finish then device id).
-    pub parallel: bool,
 }
 
 impl Default for HeftPlacer {
     fn default() -> Self {
-        HeftPlacer {
-            insertion: true,
-            parallel: true,
-        }
-    }
-}
-
-impl HeftPlacer {
-    /// Single-threaded candidate scans; the equivalence baseline.
-    pub fn serial() -> Self {
-        HeftPlacer {
-            parallel: false,
-            ..Default::default()
-        }
+        HeftPlacer { insertion: true }
     }
 }
 
@@ -65,7 +49,7 @@ impl HeftPlacer {
     pub fn schedule(&self, env: &Env, dag: &Dag) -> crate::estimate::EstimatedSchedule {
         let mut est = Estimator::new(env, dag);
         for t in Self::rank_order(env, dag) {
-            let best = best_eft_device(&est, env, dag, t, None, self.insertion, self.parallel);
+            let best = best_eft_device(&est, env, dag, t, None, self.insertion);
             est.commit(t, best, self.insertion);
         }
         est.into_schedule()
@@ -152,24 +136,8 @@ mod tests {
         let env = env();
         for seed in [1u64, 2, 3] {
             let g = dag(seed, 100);
-            let (_, with_ins) = evaluate(
-                &env,
-                &g,
-                &HeftPlacer {
-                    insertion: true,
-                    ..Default::default()
-                }
-                .place(&env, &g),
-            );
-            let (_, without) = evaluate(
-                &env,
-                &g,
-                &HeftPlacer {
-                    insertion: false,
-                    ..Default::default()
-                }
-                .place(&env, &g),
-            );
+            let (_, with_ins) = evaluate(&env, &g, &HeftPlacer { insertion: true }.place(&env, &g));
+            let (_, without) = evaluate(&env, &g, &HeftPlacer { insertion: false }.place(&env, &g));
             // Insertion only adds candidate slots; allow a sliver of noise
             // from evaluation replaying with insertion in both cases.
             assert!(

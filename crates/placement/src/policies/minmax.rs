@@ -46,7 +46,7 @@ fn place(env: &Env, dag: &Dag, flavor: Flavor) -> Placement {
         // Best (EFT, device) per ready task.
         let mut best: Option<(continuum_sim::SimTime, TaskId, continuum_model::DeviceId)> = None;
         for &t in &ready {
-            let dev = best_eft_device(&est, env, dag, t, None, true, false);
+            let dev = best_eft_device(&est, env, dag, t, None, true);
             let (_, fin) = est.eft(t, dev, true);
             let better = match (&best, flavor) {
                 (None, _) => true,

@@ -61,8 +61,8 @@ pub fn standard_lineup() -> Vec<Box<dyn Placer>> {
         Box::new(DataAwarePlacer),
         Box::new(MinMinPlacer),
         Box::new(MaxMinPlacer),
-        Box::new(CpopPlacer::default()),
-        Box::new(PeftPlacer::default()),
+        Box::new(CpopPlacer),
+        Box::new(PeftPlacer),
         Box::new(HeftPlacer::default()),
     ]
 }

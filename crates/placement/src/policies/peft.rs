@@ -18,26 +18,8 @@ use continuum_model::DeviceId;
 use continuum_workflow::{Dag, TaskId};
 
 /// The PEFT placement policy.
-#[derive(Debug, Clone)]
-pub struct PeftPlacer {
-    /// Scan device candidates under rayon. Picks are bit-identical to the
-    /// serial scan: candidate scores are scan-order independent and the
-    /// reduction uses the same (score, device id) total order.
-    pub parallel: bool,
-}
-
-impl Default for PeftPlacer {
-    fn default() -> Self {
-        PeftPlacer { parallel: true }
-    }
-}
-
-impl PeftPlacer {
-    /// Single-threaded candidate scans; the equivalence baseline.
-    pub fn serial() -> Self {
-        PeftPlacer { parallel: false }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct PeftPlacer;
 
 impl PeftPlacer {
     /// Compute the optimistic cost table: `oct[task][device]`, in seconds.
@@ -141,15 +123,9 @@ impl Placer for PeftPlacer {
                 // Lookahead: add the optimistic remaining cost.
                 (fin.as_secs_f64() + oct[t.0 as usize][d.0 as usize], d)
             };
-            let scored: Vec<(f64, DeviceId)> =
-                if self.parallel && feas.len() >= 16 && rayon::current_num_threads() > 1 {
-                    use rayon::prelude::*;
-                    feas.into_par_iter().map(score).collect()
-                } else {
-                    feas.into_iter().map(score).collect()
-                };
-            let best: DeviceId = scored
+            let best: DeviceId = feas
                 .into_iter()
+                .map(score)
                 .min_by(|a, b| {
                     a.0.partial_cmp(&b.0)
                         .expect("NaN score")
@@ -217,7 +193,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let placement = PeftPlacer::default().place(&env, &dag);
+            let placement = PeftPlacer.place(&env, &dag);
             let (sched, m_peft) = evaluate(&env, &dag, &placement);
             assert!(sched.respects_dependencies(&dag));
             let (_, m_heft) = evaluate(&env, &dag, &HeftPlacer::default().place(&env, &dag));
@@ -244,9 +220,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(
-            PeftPlacer::default().place(&env, &dag),
-            PeftPlacer::default().place(&env, &dag)
-        );
+        assert_eq!(PeftPlacer.place(&env, &dag), PeftPlacer.place(&env, &dag));
     }
 }

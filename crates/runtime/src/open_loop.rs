@@ -18,7 +18,7 @@
 //! [`crate::simulate_stream_chaos`].
 
 use crate::shard::{
-    build_pinned_streaming_shards, pinned_lookaheads, pinned_participants, PinShard, ShardOpts,
+    build_pinned_shards, pinned_lookaheads, pinned_participants, PinShard, ShardOpts,
 };
 use crate::simrun::{ExecCore, FaultPlane, FaultSpec, StreamRequest};
 use continuum_model::{CostMeter, EnergyMeter};
@@ -386,8 +386,18 @@ pub fn simulate_open_loop_sharded(
     );
     let tele = continuum_obs::ambient();
     let collect = tele.is_some();
-    let cores =
-        build_pinned_streaming_shards(env, opts.faults, partition, shard_opts.max_shards, collect);
+    let (mut cores, _) = build_pinned_shards(
+        env,
+        &[],
+        opts.faults,
+        partition,
+        shard_opts.max_shards,
+        collect,
+        false,
+    );
+    for c in &mut cores {
+        c.core.enable_streaming();
+    }
     let n = cores.len();
     let la = if n == 1 {
         // The lone shard owns every region: no envelopes, every window
@@ -396,7 +406,7 @@ pub fn simulate_open_loop_sharded(
     } else {
         Lookahead::PerShard(pinned_lookaheads(env, partition, n))
     };
-    let mut driver = ConservativeDriver::new(cores, la, shard_opts.parallel);
+    let mut driver = ConservativeDriver::new(cores, la);
     let mut gate = Gate {
         health: opts.health.map(HealthPlane::new),
         ..Gate::default()
@@ -782,18 +792,21 @@ mod tests {
         ));
         assert_eq!(reference.completed + reference.rejected, reference.offered);
         for n in [2, 4] {
-            for parallel in [true, false] {
-                let sharded = strip(simulate_open_loop_sharded(
-                    &env,
-                    arrivals.iter().cloned(),
-                    &partition,
-                    &opts,
-                    &ShardOpts {
-                        parallel,
-                        ..ShardOpts::pinned(n)
-                    },
-                ));
-                assert_eq!(sharded, reference, "n={n} parallel={parallel} diverged");
+            for threads in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("rayon pool");
+                let sharded = strip(pool.install(|| {
+                    simulate_open_loop_sharded(
+                        &env,
+                        arrivals.iter().cloned(),
+                        &partition,
+                        &opts,
+                        &ShardOpts::pinned(n),
+                    )
+                }));
+                assert_eq!(sharded, reference, "n={n} threads={threads} diverged");
             }
         }
     }

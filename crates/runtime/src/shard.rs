@@ -1,8 +1,8 @@
 //! Region-sharded stream execution.
 //!
 //! [`simulate_stream_sharded`] splits a workload across several
-//! [`crate::simrun`] executor cores — one per shard — and runs them under
-//! the conservative driver in `continuum-sim`. The result is **bit
+//! [`crate::simrun`] executor cores — one per shard — and runs them
+//! across the rayon pool. The result is **bit
 //! identical** to [`crate::simulate_stream_chaos`] on the same inputs,
 //! because sharding here is *request-confined*: requests are grouped so
 //! that no two shards ever touch the same device or link, which makes the
@@ -46,7 +46,7 @@
 //! [`ConservativeDriver`] exchange stages as [`Envelope`]s between
 //! windows without ever delivering into a shard's past. Event keys
 //! derived from content (not insertion order) make the result
-//! bit-identical across 1, 2, or N shards, serial or parallel; see
+//! bit-identical across 1, 2, or N shards and every pool size; see
 //! `crate::simrun`'s partition machinery.
 
 use crate::simrun::{
@@ -56,9 +56,9 @@ use continuum_net::RegionPartition;
 use continuum_obs::{MetricsRegistry, Telemetry};
 use continuum_placement::Env;
 use continuum_sim::{
-    run_conservative, ConservativeDriver, Envelope, Lookahead, ShardModel, SimDuration, SimTime,
-    WindowStats,
+    ConservativeDriver, Envelope, Lookahead, ShardModel, SimDuration, SimTime, WindowStats,
 };
+use rayon::prelude::*;
 
 /// How requests are split across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,24 +77,14 @@ pub enum ShardMode {
     Pinned,
 }
 
-/// Knobs for [`simulate_stream_sharded`].
+/// Knobs for [`simulate_stream_sharded`]. How many shards run at once is
+/// the rayon pool's business; a 1-thread pool runs them serially.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardOpts {
     /// Upper bound on the number of shards. Components beyond this are
     /// folded together round-robin; `usize::MAX` keeps one shard per
     /// component (confined) or one shard per region (pinned).
     pub max_shards: usize,
-    /// Run shards in conservative barrier windows of width
-    /// `lookahead` (the partition's minimum boundary-link latency)
-    /// instead of straight to completion. Because request-confined shards
-    /// exchange no events, both modes are bit-identical; windowed mode
-    /// exists to exercise and validate the conservative synchronization
-    /// path, at the cost of one barrier per window. Ignored in pinned
-    /// mode, which is inherently windowed for more than one shard.
-    pub windowed: bool,
-    /// Advance shards on worker threads within each window. Determinism
-    /// does not depend on this (see `continuum_sim::shard`).
-    pub parallel: bool,
     /// Request confinement (default) or task pinning.
     pub mode: ShardMode,
 }
@@ -103,15 +93,13 @@ impl Default for ShardOpts {
     fn default() -> Self {
         ShardOpts {
             max_shards: usize::MAX,
-            windowed: false,
-            parallel: true,
             mode: ShardMode::Confined,
         }
     }
 }
 
 impl ShardOpts {
-    /// Parallel, non-windowed execution with at most `n` shards.
+    /// Request-confined execution with at most `n` shards.
     pub fn with_max_shards(n: usize) -> Self {
         ShardOpts {
             max_shards: n.max(1),
@@ -124,7 +112,6 @@ impl ShardOpts {
         ShardOpts {
             max_shards: n.max(1),
             mode: ShardMode::Pinned,
-            ..ShardOpts::default()
         }
     }
 }
@@ -248,30 +235,6 @@ pub fn plan_shards(
     }
 }
 
-/// [`ShardModel`] adapter: one executor core, pumped window by window.
-/// Request-confined shards exchange no messages, so the outbox is always
-/// empty and `Msg = ()`.
-struct CoreShard<'a> {
-    core: ExecCore<'a>,
-}
-
-impl ShardModel for CoreShard<'_> {
-    type Msg = ();
-
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        self.core.next_event_time()
-    }
-
-    fn advance(
-        &mut self,
-        horizon: Option<SimTime>,
-        _inbox: Vec<Envelope<()>>,
-    ) -> Vec<Envelope<()>> {
-        self.core.pump(horizon);
-        Vec::new()
-    }
-}
-
 /// [`ShardModel`] adapter for pinned execution: delivers inbound transfer
 /// stages into the core's keyed calendar, pumps the window, and wraps the
 /// core's outbox — stages bound for regions other shards own — into
@@ -323,7 +286,8 @@ impl ShardModel for PinShard<'_> {
 /// round-robin (`region % n`), each request is registered on every shard
 /// owning a region it touches (its *participants*), and each core is
 /// switched to partitioned execution over its owned regions. Returns the
-/// shards plus the per-shard participant groups (for telemetry).
+/// shards plus the per-shard participant groups (for telemetry). The
+/// open-loop driver builds its streaming cores from an empty request list.
 pub(crate) fn build_pinned_shards<'a>(
     env: &'a Env,
     requests: &'a [StreamRequest],
@@ -376,44 +340,6 @@ pub(crate) fn build_pinned_shards<'a>(
     (shards, groups)
 }
 
-/// Build empty pinned-mode *streaming* cores — one per shard — for the
-/// open-loop driver: no requests are registered up front; the caller
-/// injects each admitted arrival into its participant shards.
-pub(crate) fn build_pinned_streaming_shards<'a>(
-    env: &'a Env,
-    faults: Option<&'a FaultSpec>,
-    partition: &'a RegionPartition,
-    max_shards: usize,
-    collect: bool,
-) -> Vec<PinShard<'a>> {
-    let nr = partition.len();
-    let n = max_shards.clamp(1, nr);
-    let shard_of_region: Vec<u32> = (0..nr).map(|r| (r % n) as u32).collect();
-    (0..n)
-        .map(|i| {
-            let mut core = ExecCore::new(
-                env,
-                Vec::new(),
-                Vec::new(),
-                faults,
-                None,
-                None,
-                collect,
-                false,
-            );
-            core.enable_streaming();
-            let owned: Vec<bool> = (0..nr).map(|r| shard_of_region[r] == i as u32).collect();
-            core.enable_partition(partition, owned);
-            PinShard {
-                core,
-                shard_of_region: shard_of_region.clone(),
-                me: i as u32,
-                seq: 0,
-            }
-        })
-        .collect()
-}
-
 /// The shards participating in `r` under a round-robin deal of
 /// `partition`'s regions over `n` shards: owners of the regions the
 /// request touches (core region's owner for an empty region set).
@@ -455,7 +381,7 @@ pub(crate) fn pinned_lookaheads(
 }
 
 /// Satellite telemetry for a sharded run: plan shape, per-shard event
-/// counts, and (when windowed) message traffic.
+/// counts, and (for more than one shard) window and message traffic.
 fn publish_shard_metrics(
     tele: &Telemetry,
     groups: &[Vec<usize>],
@@ -502,8 +428,8 @@ fn publish_shard_metrics(
 
 /// Sharded [`crate::simulate_stream_chaos`]: same contract, same result
 /// — bit-identical trace and metrics — computed by up to
-/// `opts.max_shards` executor cores running in parallel over a region
-/// partition of the topology.
+/// `opts.max_shards` executor cores over a region partition of the
+/// topology, advanced across the current rayon pool.
 ///
 /// # Panics
 /// If `partition` does not cover `env`'s topology (see
@@ -518,34 +444,18 @@ pub fn simulate_stream_sharded(
     opts: &ShardOpts,
 ) -> SimOutcome {
     match opts.mode {
-        ShardMode::Confined => simulate_confined(env, requests, faults, plane, partition, opts),
+        ShardMode::Confined => {
+            simulate_confined(env, requests, faults, plane, partition, opts.max_shards)
+        }
         ShardMode::Pinned => {
             assert!(
                 plane.is_none(),
                 "pinned mode rejects the infrastructure fault plane: orphan \
                  re-placement would migrate tasks across shards"
             );
-            simulate_pinned(env, requests, faults, partition, opts)
+            simulate_pinned(env, requests, faults, partition, opts.max_shards)
         }
     }
-}
-
-/// Pinned-mode [`simulate_stream_sharded`] without the confined-mode
-/// parameters that do not apply (fault plane, windowing knob).
-pub fn simulate_stream_pinned(
-    env: &Env,
-    requests: &[StreamRequest],
-    faults: Option<&FaultSpec>,
-    partition: &RegionPartition,
-    max_shards: usize,
-) -> SimOutcome {
-    simulate_pinned(
-        env,
-        requests,
-        faults,
-        partition,
-        &ShardOpts::pinned(max_shards),
-    )
 }
 
 /// Request-confined execution: the union-find plan, one core per
@@ -556,12 +466,12 @@ fn simulate_confined(
     faults: Option<&FaultSpec>,
     plane: Option<&FaultPlane>,
     partition: &RegionPartition,
-    opts: &ShardOpts,
+    max_shards: usize,
 ) -> SimOutcome {
     let tele = continuum_obs::ambient();
     let collect = tele.is_some();
     let trace_on = tele.as_deref().is_some_and(Telemetry::trace_enabled);
-    let mut plan = plan_shards(env, requests, partition, opts.max_shards);
+    let mut plan = plan_shards(env, requests, partition, max_shards);
     if plan.groups.is_empty() {
         // No requests: one empty core still runs the fault schedule so
         // the outcome's fault counters match the single-queue executor.
@@ -569,7 +479,7 @@ fn simulate_confined(
         plan.region_sets.push((0..partition.len()).collect());
     }
     let sharded = plan.groups.len() > 1;
-    let mut shards: Vec<CoreShard> = plan
+    let mut cores: Vec<ExecCore> = plan
         .groups
         .iter()
         .zip(&plan.region_sets)
@@ -586,37 +496,34 @@ fn simulate_confined(
                     })
                     .collect::<Vec<bool>>()
             });
-            CoreShard {
-                core: ExecCore::new(
-                    env,
-                    refs,
-                    group.clone(),
-                    faults,
-                    plane,
-                    mask,
-                    collect,
-                    trace_on,
-                ),
-            }
+            ExecCore::new(
+                env,
+                refs,
+                group.clone(),
+                faults,
+                plane,
+                mask,
+                collect,
+                trace_on,
+            )
         })
         .collect();
-    let (shards, wstats) = if shards.len() == 1 {
-        // One shard exchanges nothing, so conservative windows only add
-        // horizon bookkeeping per barrier: run straight to completion
-        // regardless of `opts.windowed`. Bit-identical either way.
-        shards[0].core.pump(None);
-        (shards, None)
-    } else {
-        let lookahead = if opts.windowed {
-            partition.lookahead()
-        } else {
-            None
-        };
-        let (shards, w) = run_conservative(shards, lookahead, opts.parallel);
-        (shards, Some(w))
-    };
+    // Request-confined shards exchange no messages, so each runs straight
+    // to completion in one window.
+    let wstats = sharded.then(|| WindowStats {
+        windows: u64::from(cores.iter_mut().any(|c| c.next_event_time().is_some())),
+        messages: 0,
+        per_shard_messages: vec![0; cores.len()],
+    });
+    let cores: Vec<ExecCore> = cores
+        .into_par_iter()
+        .map(|mut c| {
+            c.pump(None);
+            c
+        })
+        .collect();
     if let Some(t) = &tele {
-        let events: Vec<u64> = shards.iter().map(|s| s.core.scheduled_events()).collect();
+        let events: Vec<u64> = cores.iter().map(ExecCore::scheduled_events).collect();
         publish_shard_metrics(t, &plan.groups, &events, wstats.as_ref());
     }
     let layout = trace_on.then(|| {
@@ -635,7 +542,7 @@ fn simulate_confined(
         requests,
         plane,
         layout.as_ref(),
-        shards.into_iter().map(|s| s.core.finish()).collect(),
+        cores.into_iter().map(ExecCore::finish).collect(),
     )
 }
 
@@ -646,19 +553,13 @@ fn simulate_pinned(
     requests: &[StreamRequest],
     faults: Option<&FaultSpec>,
     partition: &RegionPartition,
-    opts: &ShardOpts,
+    max_shards: usize,
 ) -> SimOutcome {
     let tele = continuum_obs::ambient();
     let collect = tele.is_some();
     let trace_on = tele.as_deref().is_some_and(Telemetry::trace_enabled);
     let (mut shards, groups) = build_pinned_shards(
-        env,
-        requests,
-        faults,
-        partition,
-        opts.max_shards,
-        collect,
-        trace_on,
+        env, requests, faults, partition, max_shards, collect, trace_on,
     );
     let (shards, wstats) = if shards.len() == 1 {
         // The lone shard owns every region, so no transfer ever leaves
@@ -667,7 +568,7 @@ fn simulate_pinned(
         (shards, None)
     } else {
         let la = Lookahead::PerShard(pinned_lookaheads(env, partition, shards.len()));
-        let mut driver = ConservativeDriver::new(shards, la, opts.parallel);
+        let mut driver = ConservativeDriver::new(shards, la);
         driver.run();
         let (shards, w) = driver.into_parts();
         (shards, Some(w))
@@ -699,6 +600,32 @@ mod tests {
     use continuum_placement::Placement;
     use continuum_sim::{Rng, SimTime};
     use continuum_workflow::{layered_random, LayeredSpec};
+
+    /// Run `f` on a `threads`-wide rayon pool.
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("rayon pool")
+            .install(f)
+    }
+
+    fn pinned(
+        env: &Env,
+        requests: &[StreamRequest],
+        faults: Option<&FaultSpec>,
+        partition: &RegionPartition,
+        n: usize,
+    ) -> SimOutcome {
+        simulate_stream_sharded(
+            env,
+            requests,
+            faults,
+            None,
+            partition,
+            &ShardOpts::pinned(n),
+        )
+    }
 
     fn build_world() -> (Env, ContinuumSpec, Vec<Vec<NodeId>>) {
         let spec = ContinuumSpec {
@@ -809,25 +736,14 @@ mod tests {
         // Confinement collapses on this workload: one component.
         let plan = plan_shards(&env, &requests, &partition, usize::MAX);
         assert_eq!(plan.groups.len(), 1, "workload should defeat confinement");
-        let reference = simulate_stream_sharded(
-            &env,
-            &requests,
-            None,
-            None,
-            &partition,
-            &ShardOpts::pinned(1),
-        );
+        let reference = pinned(&env, &requests, None, &partition, 1);
         for (i, &fin) in reference.trace.request_finish.iter().enumerate() {
             assert!(fin > requests[i].arrival, "request {i} never finished");
         }
         for n in [2, 3, 4] {
-            for parallel in [true, false] {
-                let opts = ShardOpts {
-                    parallel,
-                    ..ShardOpts::pinned(n)
-                };
-                let got = simulate_stream_sharded(&env, &requests, None, None, &partition, &opts);
-                assert_eq!(got, reference, "pinned n={n} parallel={parallel} diverged");
+            for threads in [1, 3] {
+                let got = with_threads(threads, || pinned(&env, &requests, None, &partition, n));
+                assert_eq!(got, reference, "pinned n={n} threads={threads} diverged");
             }
         }
     }
@@ -843,10 +759,10 @@ mod tests {
             retry_delay: continuum_sim::SimDuration::from_millis(50),
             seed: 7,
         };
-        let reference = simulate_stream_pinned(&env, &requests, Some(&fs), &partition, 1);
+        let reference = pinned(&env, &requests, Some(&fs), &partition, 1);
         assert!(reference.trace.failed_attempts > 0, "want retries in play");
         for n in [2, 4] {
-            let got = simulate_stream_pinned(&env, &requests, Some(&fs), &partition, n);
+            let got = pinned(&env, &requests, Some(&fs), &partition, n);
             assert_eq!(got, reference, "pinned n={n} with retries diverged");
         }
     }
@@ -860,9 +776,9 @@ mod tests {
         let partition = RegionPartition::new(&env.topology, regions.clone(), 0);
         let mut requests = workload(&env, &regions, true);
         requests.extend(spanning_workload(&env, &regions));
-        let reference = simulate_stream_pinned(&env, &requests, None, &partition, 1);
+        let reference = pinned(&env, &requests, None, &partition, 1);
         for n in [2, 4] {
-            let got = simulate_stream_pinned(&env, &requests, None, &partition, n);
+            let got = pinned(&env, &requests, None, &partition, n);
             assert_eq!(got, reference, "pinned n={n} mixed workload diverged");
         }
     }
@@ -871,8 +787,8 @@ mod tests {
     fn pinned_empty_request_list_runs() {
         let (env, _, regions) = build_world();
         let partition = RegionPartition::new(&env.topology, regions, 0);
-        let a = simulate_stream_pinned(&env, &[], None, &partition, 1);
-        let b = simulate_stream_pinned(&env, &[], None, &partition, 4);
+        let a = pinned(&env, &[], None, &partition, 1);
+        let b = pinned(&env, &[], None, &partition, 4);
         assert_eq!(a, b);
         assert_eq!(a.trace.request_finish.len(), 0);
     }
@@ -926,20 +842,15 @@ mod tests {
             let single = simulate_stream_chaos(&env, &requests, None, None);
             for opts in [
                 ShardOpts::default(),
-                ShardOpts {
-                    windowed: true,
-                    ..ShardOpts::default()
-                },
-                ShardOpts {
-                    parallel: false,
-                    ..ShardOpts::default()
-                },
                 ShardOpts::with_max_shards(2),
                 ShardOpts::with_max_shards(1),
             ] {
-                let sharded =
-                    simulate_stream_sharded(&env, &requests, None, None, &partition, &opts);
-                assert_eq!(sharded, single, "opts {opts:?} diverged");
+                for threads in [1, 3] {
+                    let sharded = with_threads(threads, || {
+                        simulate_stream_sharded(&env, &requests, None, None, &partition, &opts)
+                    });
+                    assert_eq!(sharded, single, "opts {opts:?} threads={threads} diverged");
+                }
             }
         }
     }

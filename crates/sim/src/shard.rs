@@ -15,8 +15,9 @@
 //! Determinism: within a window each shard runs single-threaded over its
 //! own calendar, and the inter-window exchange sorts envelopes by
 //! `(time, sender, sender-sequence)` before delivery. Neither depends on
-//! thread scheduling, so a parallel run is bit-identical to a serial run
-//! of the same shards — `parallel` is purely a wall-clock knob.
+//! thread scheduling, so a run is bit-identical for every rayon pool
+//! size: the thread count is purely a wall-clock knob, and a 1-thread
+//! pool runs every window serially.
 
 use crate::time::{SimDuration, SimTime};
 use rayon::prelude::*;
@@ -78,9 +79,6 @@ pub enum Lookahead {
     /// completion) in a single window. Emitting an envelope under this
     /// policy panics — nothing could deliver it safely.
     None,
-    /// One global minimum cross-shard latency: every shard's horizon is
-    /// `next + lookahead`.
-    Uniform(SimDuration),
     /// Per-shard incoming latency (see
     /// `RegionPartition::incoming_lookahead` in `continuum-net`): shard
     /// `s` runs to `next + per_shard[s]`. Safe because an envelope
@@ -94,7 +92,6 @@ impl Lookahead {
     fn horizon(&self, shard: usize, next: SimTime, cap: Option<SimTime>) -> Option<SimTime> {
         let h = match self {
             Lookahead::None => None,
-            Lookahead::Uniform(l) => Some(next + *l),
             Lookahead::PerShard(per) => Some(next + per[shard]),
         };
         match (h, cap) {
@@ -111,21 +108,21 @@ impl Lookahead {
 
 /// A resumable conservative shard executor.
 ///
-/// [`run_conservative`] wraps this for the run-to-completion case; the
-/// open-loop sharded driver in `continuum-runtime` instead alternates
+/// [`ConservativeDriver::run`] drives it to completion; the open-loop
+/// sharded driver in `continuum-runtime` instead alternates
 /// [`ConservativeDriver::advance_until`] with request injection, pumping
-/// windows only as far as the next arrival.
+/// windows only as far as the next arrival. Within a window the shards
+/// advance across the current rayon pool.
 pub struct ConservativeDriver<S: ShardModel> {
     shards: Vec<S>,
     pending: Vec<Envelope<S::Msg>>,
     lookahead: Lookahead,
-    parallel: bool,
     stats: WindowStats,
 }
 
 impl<S: ShardModel> ConservativeDriver<S> {
-    /// Wrap `shards` for windowed execution under `lookahead`.
-    pub fn new(shards: Vec<S>, lookahead: Lookahead, parallel: bool) -> Self {
+    /// Wrap `shards` for conservative execution under `lookahead`.
+    pub fn new(shards: Vec<S>, lookahead: Lookahead) -> Self {
         let stats = WindowStats {
             per_shard_messages: vec![0; shards.len()],
             ..WindowStats::default()
@@ -134,7 +131,6 @@ impl<S: ShardModel> ConservativeDriver<S> {
             shards,
             pending: Vec::new(),
             lookahead,
-            parallel,
             stats,
         }
     }
@@ -195,8 +191,7 @@ impl<S: ShardModel> ConservativeDriver<S> {
             inboxes[to].push(e);
         }
         // Advance every shard to its horizon. Ownership round-trips
-        // through the iterator so the parallel and serial paths share one
-        // shape; results come back in input order either way.
+        // through the parallel iterator; results come back in input order.
         let lookahead = &self.lookahead;
         #[allow(clippy::type_complexity)]
         let work: Vec<(usize, S, Vec<Envelope<S::Msg>>)> = self
@@ -206,21 +201,13 @@ impl<S: ShardModel> ConservativeDriver<S> {
             .enumerate()
             .map(|(i, (s, inbox))| (i, s, inbox))
             .collect();
-        let advanced: Vec<(S, Vec<Envelope<S::Msg>>)> = if self.parallel {
-            work.into_par_iter()
-                .map(|(i, mut s, inbox)| {
-                    let out = s.advance(lookahead.horizon(i, next, cap), inbox);
-                    (s, out)
-                })
-                .collect()
-        } else {
-            work.into_iter()
-                .map(|(i, mut s, inbox)| {
-                    let out = s.advance(lookahead.horizon(i, next, cap), inbox);
-                    (s, out)
-                })
-                .collect()
-        };
+        let advanced: Vec<(S, Vec<Envelope<S::Msg>>)> = work
+            .into_par_iter()
+            .map(|(i, mut s, inbox)| {
+                let out = s.advance(lookahead.horizon(i, next, cap), inbox);
+                (s, out)
+            })
+            .collect();
         for (s, out) in advanced {
             assert!(
                 self.lookahead.exchanges_messages() || out.is_empty(),
@@ -253,32 +240,6 @@ impl<S: ShardModel> ConservativeDriver<S> {
         assert!(self.pending.is_empty(), "undelivered envelopes at teardown");
         (self.shards, self.stats)
     }
-}
-
-/// Advance `shards` to completion under conservative synchronization and
-/// hand them back along with window statistics.
-///
-/// `lookahead` is the minimum virtual-time distance of any cross-shard
-/// interaction (for a region partition: the minimum boundary-link
-/// latency). Pass `None` for shards that never exchange messages — the
-/// driver then runs each shard to completion in a single window (and
-/// panics if a shard emits an envelope anyway, since nothing could
-/// deliver it safely).
-///
-/// With `parallel` set, shards within a window advance on worker threads;
-/// the result is bit-identical to the serial run (see module docs).
-pub fn run_conservative<S: ShardModel>(
-    shards: Vec<S>,
-    lookahead: Option<SimDuration>,
-    parallel: bool,
-) -> (Vec<S>, WindowStats) {
-    let la = match lookahead {
-        Some(l) => Lookahead::Uniform(l),
-        None => Lookahead::None,
-    };
-    let mut driver = ConservativeDriver::new(shards, la, parallel);
-    driver.run();
-    driver.into_parts()
 }
 
 fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
@@ -357,17 +318,29 @@ mod tests {
         }
     }
 
-    fn ping_pong(parallel: bool) -> (Vec<Pinger>, WindowStats) {
+    /// Drive `shards` to completion under `lookahead`.
+    fn run<S: ShardModel>(shards: Vec<S>, lookahead: Lookahead) -> (Vec<S>, WindowStats) {
+        let mut driver = ConservativeDriver::new(shards, lookahead);
+        driver.run();
+        driver.into_parts()
+    }
+
+    /// Volley a hop counter between two shards on a `threads`-wide pool.
+    fn ping_pong(threads: usize) -> (Vec<Pinger>, WindowStats) {
         let delay = SimDuration::from_millis(10);
         let mut a = Pinger::new(0, 1, delay, 8);
         let b = Pinger::new(1, 0, delay, 8);
         a.queue.schedule_at(SimTime::ZERO, 0);
-        run_conservative(vec![a, b], Some(delay), parallel)
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("rayon pool");
+        pool.install(|| run(vec![a, b], Lookahead::PerShard(vec![delay; 2])))
     }
 
     #[test]
     fn ping_pong_crosses_shards_in_windows() {
-        let (shards, stats) = ping_pong(false);
+        let (shards, stats) = ping_pong(1);
         // 9 hops total (0..=8), alternating shards at 10 ms intervals.
         let total: usize = shards.iter().map(|s| s.log.len()).sum();
         assert_eq!(total, 9);
@@ -382,9 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        let (serial, s_stats) = ping_pong(false);
-        let (par, p_stats) = ping_pong(true);
+    fn run_is_bit_identical_across_pool_sizes() {
+        let (serial, s_stats) = ping_pong(1);
+        let (par, p_stats) = ping_pong(2);
         for (a, b) in serial.iter().zip(&par) {
             assert_eq!(a.log, b.log);
         }
@@ -399,7 +372,7 @@ mod tests {
         let mut b = Pinger::new(1, 0, delay, 0);
         a.queue.schedule_at(SimTime::from_secs(1), 0);
         b.queue.schedule_at(SimTime::from_secs(2), 0);
-        let (shards, stats) = run_conservative(vec![a, b], None, false);
+        let (shards, stats) = run(vec![a, b], Lookahead::None);
         assert_eq!(stats.windows, 1);
         assert_eq!(stats.messages, 0);
         assert_eq!(shards[0].log, vec![(SimTime::from_secs(1), 0)]);
@@ -413,7 +386,7 @@ mod tests {
         let mut a = Pinger::new(0, 1, delay, 8);
         let b = Pinger::new(1, 0, delay, 8);
         a.queue.schedule_at(SimTime::ZERO, 0);
-        run_conservative(vec![a, b], None, false);
+        run(vec![a, b], Lookahead::None);
     }
 
     #[test]
@@ -519,7 +492,8 @@ mod tests {
                 payload: 222,
             }),
         ];
-        let (shards, stats) = run_conservative(shards, Some(SimDuration::from_millis(100)), false);
+        let la = Lookahead::PerShard(vec![SimDuration::from_millis(100); 3]);
+        let (shards, stats) = run(shards, la);
         let Either::Sink(sink) = &shards[0] else {
             panic!("shard 0 is the sink");
         };

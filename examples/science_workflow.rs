@@ -33,7 +33,7 @@ fn main() {
         Box::new(RandomPlacer::new(7)),
         Box::new(TierPlacer::cloud_only()),
         Box::new(GreedyEftPlacer::default()),
-        Box::new(CpopPlacer::default()),
+        Box::new(CpopPlacer),
         Box::new(HeftPlacer::default()),
     ];
     for p in &policies {

@@ -2,12 +2,14 @@
 """Bench speedup regression guard.
 
 Compares every numeric key containing "speedup" in freshly generated
-`BENCH_*.json` files (working tree, typically written by the `--smoke`
-bench bins in CI) against the committed baseline (`git show HEAD:...`).
+`BENCH_*.json` files (working tree) against the committed baseline
+(`git show HEAD:...`). Compare like with like: CI passes the
+`BENCH_*.smoke.json` files the `--smoke` bench bins write, whose
+committed copies are smoke runs too.
 
 CI smoke runs are short and the runners are noisy, so this is a
-guard-rail, not a benchmark: a fresh speedup may wobble well below the
-committed full-run number without anything being wrong. We only fail
+guard-rail, not a benchmark: a fresh speedup may wobble below the
+committed number without anything being wrong. We only fail
 when a speedup collapses below `TOLERANCE` (default 0.5x) of its
 baseline — the regime where an accidental O(n) -> O(n^2) slip or a
 de-optimised hot path shows up regardless of runner noise.
@@ -16,7 +18,7 @@ Keys present only in the fresh file (new bench arms) or only in the
 baseline (retired arms) are reported but never fail the build; the
 comparison is over the intersection. Usage:
 
-    python3 scripts/bench_regress.py BENCH_runtime.json BENCH_fabric.json ...
+    python3 scripts/bench_regress.py BENCH_runtime.smoke.json BENCH_fabric.smoke.json ...
 """
 
 import json

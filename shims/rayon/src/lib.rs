@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`].
+    /// Thread-count override installed by [`ThreadPool::install`] and
+    /// inherited by the workers of every parallel iterator under it.
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -37,7 +38,9 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Run `f(item)` over every item on `current_num_threads()` workers,
-/// returning results in input order.
+/// returning results in input order. Each worker inherits the caller's
+/// thread count, so parallel iterators nested inside an installed pool
+/// see the pool's size rather than the host's.
 fn par_map_vec<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
@@ -45,7 +48,8 @@ where
     F: Fn(I) -> R + Sync,
 {
     let n = items.len();
-    let threads = current_num_threads().min(n);
+    let pool = current_num_threads();
+    let threads = pool.min(n);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -54,18 +58,21 @@ where
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                POOL_THREADS.with(|t| t.set(Some(pool)));
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = work[i]
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .take()
+                        .expect("each slot is claimed exactly once");
+                    let r = f(item);
+                    *out[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
                 }
-                let item = work[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("each slot is claimed exactly once");
-                let r = f(item);
-                *out[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
             });
         }
     });
@@ -262,5 +269,17 @@ mod tests {
         assert_eq!(pool.install(current_num_threads), 3);
         let out: Vec<usize> = pool.install(|| (0usize..10).into_par_iter().collect());
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workers_inherit_the_installed_thread_count() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen: Vec<usize> = pool.install(|| {
+            (0usize..3)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect()
+        });
+        assert_eq!(seen, vec![3, 3, 3]);
     }
 }

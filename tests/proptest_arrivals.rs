@@ -129,7 +129,7 @@ proptest! {
         seed in any::<u64>(),
         which in any::<u8>(),
         max_shards in 1usize..5,
-        windowed in any::<bool>(),
+        threads in 1usize..4,
     ) {
         let (world, spec) = world();
         let gen = OpenLoopSpec {
@@ -149,10 +149,11 @@ proptest! {
         let partition =
             RegionPartition::new(world.topology(), continuum_regions(&spec), 0);
         let single = simulate_stream_chaos(world.env(), &requests, None, None);
-        let opts = ShardOpts { max_shards, windowed, ..ShardOpts::default() };
-        let sharded = simulate_stream_sharded(
+        let opts = ShardOpts { max_shards, ..ShardOpts::default() };
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let sharded = pool.install(|| simulate_stream_sharded(
             world.env(), &requests, None, None, &partition, &opts,
-        );
+        ));
         prop_assert_eq!(&sharded, &single);
     }
 }

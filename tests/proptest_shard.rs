@@ -6,7 +6,7 @@
 //! orphans restart in place and the online placer stays out of play), the
 //! sharded run's `SimOutcome` — task records, request finishes, fault
 //! counters, and every f64 metric — equals the single-queue run's
-//! exactly, for every shard count, windowed or not, parallel or serial.
+//! exactly, for every shard count and every rayon pool size.
 //! Under full chaos (including link failures and re-placements) the
 //! sharded run must still terminate, conserve tasks, and be
 //! deterministic.
@@ -18,6 +18,15 @@ use continuum_core::prelude::*;
 use continuum_net::{continuum_regions, RegionPartition};
 use continuum_runtime::{simulate_stream_sharded, FaultSpec, ShardOpts};
 use proptest::prelude::*;
+
+/// Run `f` on a `threads`-wide rayon pool.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("rayon pool")
+        .install(f)
+}
 
 fn shard_cases() -> u32 {
     std::env::var("CONTINUUM_SHARD_CASES")
@@ -157,8 +166,7 @@ proptest! {
         spanning in 0usize..3,
         crashes in 0usize..4,
         max_shards in 1usize..6,
-        windowed in any::<bool>(),
-        parallel in any::<bool>(),
+        threads in 1usize..4,
     ) {
         let (world, spec) = world();
         let requests = workload(&world, &spec, seed, spanning);
@@ -167,10 +175,10 @@ proptest! {
             RegionPartition::new(world.topology(), continuum_regions(&spec), 0);
         let single =
             simulate_stream_chaos(world.env(), &requests, None, Some(&plane));
-        let opts = ShardOpts { max_shards, windowed, parallel, ..ShardOpts::default() };
-        let sharded = simulate_stream_sharded(
+        let opts = ShardOpts { max_shards, ..ShardOpts::default() };
+        let sharded = with_threads(threads, || simulate_stream_sharded(
             world.env(), &requests, None, Some(&plane), &partition, &opts,
-        );
+        ));
         prop_assert_eq!(&sharded, &single);
         // Spell out the f64 fields so a future loosening of SimOutcome's
         // PartialEq cannot silently weaken this property.
@@ -212,13 +220,14 @@ proptest! {
     /// Pinned-mode identity: for random spanning-heavy workloads — the
     /// regime where request confinement collapses to one shard — task
     /// pinning with envelope-carried boundary transfers yields an
-    /// outcome bit-identical across 1, 2, 4, and 8 shards, serial or
-    /// parallel, with and without counter-based task retries.
+    /// outcome bit-identical across 1, 2, 4, and 8 shards on any pool
+    /// size, with and without counter-based task retries.
     #[test]
     fn pinned_matches_one_shard_for_every_shard_count(
         seed in any::<u64>(),
         fail_prob in 0.0f64..0.3,
         n_requests in 3usize..8,
+        threads in 1usize..4,
     ) {
         let (world, spec) = world();
         let regions = continuum_regions(&spec);
@@ -255,13 +264,10 @@ proptest! {
             world.env(), &requests, faults, None, &partition, &ShardOpts::pinned(1),
         );
         for n in [2usize, 4, 8] {
-            for parallel in [false, true] {
-                let opts = ShardOpts { parallel, ..ShardOpts::pinned(n) };
-                let got = simulate_stream_sharded(
-                    world.env(), &requests, faults, None, &partition, &opts,
-                );
-                prop_assert_eq!(&got, &reference, "n={} parallel={}", n, parallel);
-            }
+            let got = with_threads(threads, || simulate_stream_sharded(
+                world.env(), &requests, faults, None, &partition, &ShardOpts::pinned(n),
+            ));
+            prop_assert_eq!(&got, &reference, "n={} threads={}", n, threads);
         }
     }
 

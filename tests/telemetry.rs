@@ -19,7 +19,7 @@ use continuum_fabric::{
 use continuum_net::{continuum_regions, RegionPartition};
 use continuum_obs::{with_ambient, Telemetry};
 use continuum_runtime::{
-    simulate_open_loop_sharded, simulate_stream_pinned, OpenLoopOpts, OpenLoopReport, ShardOpts,
+    simulate_open_loop_sharded, simulate_stream_sharded, OpenLoopOpts, OpenLoopReport, ShardOpts,
     StreamRequest,
 };
 use proptest::prelude::*;
@@ -359,12 +359,13 @@ fn flow_events_stitch_cross_shard_and_cross_site_hops() {
 
     let tele = Rc::new(Telemetry::new(true));
     with_ambient(&tele, || {
-        std::hint::black_box(simulate_stream_pinned(
+        std::hint::black_box(simulate_stream_sharded(
             world.env(),
             &reqs,
             None,
+            None,
             &partition,
-            2,
+            &ShardOpts::pinned(2),
         ));
         std::hint::black_box(run_federation(
             world.env(),
