@@ -224,11 +224,14 @@ fn bench_fat_tree(smoke: bool, reps: usize) -> serde_json::Value {
              task finishes; it is identical across arms by the identity \
              assert, so events_per_sec ratios equal wall-time ratios.",
             "Shards are request-confined (no two shards share a device or \
-             link), so each shard's flow network and calendar hold only its \
-             own flows: per-event cost shrinks with shard count even on one \
-             thread (ms_1_thread). The shards exchange no messages, so each \
-             runs to completion in one fork across the rayon pool; ms is that \
-             fork at `threads` threads.",
+             link), so their flows never share a max-min component. The flow \
+             engine re-rates only the component a mutation touches, so the \
+             single queue and the 1-shard arm already skip every other \
+             request's flows; sharding adds only smaller calendars and flow \
+             slabs per shard. The shards exchange no messages, so each runs \
+             to completion in one fork across the rayon pool; ms is that \
+             fork at `threads` threads, ms_1_thread the same arms on one \
+             thread.",
         ],
     })
 }
@@ -421,8 +424,9 @@ fn bench_continuum(smoke: bool, reps: usize) -> serde_json::Value {
              flow domains joined by store-and-forward handoffs at boundary \
              links), so the quoted ratio is events/sec against that \
              baseline's own event volume, not wall time on an identical \
-             outcome. The algorithmic win is exactly the model split: each \
-             shard recomputes only its own region's flow rates.",
+             outcome. The model split bounds every max-min component by a \
+             region: a transfer is rate-coupled only to flows in the same \
+             region segment, never across the backbone.",
             "The win over the single-queue baseline comes from the per-region \
              flow domains, which the 1-shard arm already has. Each multi-shard \
              arm adds one barrier window per ~20 ms of virtual time (the \

@@ -15,18 +15,23 @@
 //! paths share their link list (`Arc<[LinkId]>`) with the route table
 //! instead of cloning it per flow.
 //!
-//! Rate recomputation is deferred: `start`/`remove` only update the flow
-//! and link indices and set a dirty bit, and the next observation
-//! (`rate`, `next_completion`, `advance`, `link_loads`) runs one
-//! progressive-filling pass — so a burst of mutations at one event
-//! timestamp costs a single recomputation. The pass itself visits only
-//! the links that currently carry flows (a persistently maintained
-//! active-link index), saturating the most-constrained links first; it
-//! costs `O(waves × active links + sum of active path lengths)`,
-//! independent of the total link count — the from-scratch seed algorithm
-//! scanned and reallocated every link on every mutation. That seed
-//! algorithm is retained verbatim as [`FlowNetwork::oracle_rates`] and
-//! cross-checked against the engine by property tests.
+//! Rate recomputation is deferred and local. `start`, `remove`,
+//! `fail_link` and `restore_link` only update the flow and link indices
+//! and push the links they touched onto a dirty list; the next
+//! observation (`rate`, `next_completion`, `advance`, `link_loads`)
+//! searches the flow–link graph from those links and runs one
+//! progressive-filling pass over the connected component it reaches, so
+//! a burst of mutations at one event timestamp costs a single pass and
+//! flows that share no link (transitively) with a mutation are never
+//! touched. Max-min rates decompose exactly over components, and each
+//! link sees the same subtractions in the same order as in a pass over
+//! every flow, so the result is bit-identical to a full recompute. A
+//! pass saturates the most-constrained links first and costs
+//! `O(waves × component links + sum of component path lengths)`,
+//! independent of the total link and flow counts. The seed's
+//! from-scratch algorithm, which scanned and reallocated every link on
+//! every mutation, is retained verbatim as [`FlowNetwork::oracle_rates`]
+//! and cross-checked against the engine by property tests.
 //!
 //! Byte draining is *lazy*: each flow carries an anchor `(time,
 //! remaining, rate)` triple and is re-anchored only when a recompute
@@ -42,12 +47,23 @@
 //! property, and on the monotone per-flow `seq` used to break
 //! completion-time ties identically in every engine instance.
 //!
+//! `next_completion` reads a min-heap of `(completion, seq, slot,
+//! generation)` entries. A flow that re-anchors is queued once, and
+//! `next_completion` pushes the new completion of every queued flow
+//! before it reads the heap. Entries go stale lazily — the slot's
+//! generation moved on, or the flow re-anchored to a different
+//! completion — and are popped when they reach the top; once stale
+//! entries outnumber live flows about two to one the heap is rebuilt
+//! from the live flows, which bounds its memory.
+//!
 //! An ablation experiment compares this model against the naive
 //! "bottleneck-only" estimate of [`crate::routing::Path::transfer_time`].
 
 use crate::routing::Path;
 use crate::topology::{LinkId, Topology};
 use continuum_sim::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Identifier of an active flow: `(generation << 32) | slot`.
@@ -92,9 +108,22 @@ struct FlowSlot {
     /// removal history, while start order is reproducible across engine
     /// instances simulating subsets of the same workload.
     seq: u64,
+    /// Listed in `FlowNetwork::reanchored`, awaiting a heap push.
+    queued: bool,
 }
 
 impl FlowSlot {
+    /// When the flow finishes under its current rate, projected from its
+    /// anchor (the last instant its rate changed, where `remaining` is
+    /// exact); `None` while it is stalled at rate zero. Clamped so the
+    /// nanosecond conversion cannot overflow the clock; no real flow
+    /// takes anywhere near 1e9 seconds.
+    fn completion(&self) -> Option<SimTime> {
+        (self.rate > 0.0).then(|| {
+            self.anchor + SimDuration::from_secs_f64((self.remaining / self.rate).min(1e9))
+        })
+    }
+
     /// Bytes left at time `t` (must be ≥ `anchor`) under the current rate.
     fn remaining_at(&self, t: SimTime) -> f64 {
         let dt = t.since(self.anchor).as_secs_f64();
@@ -128,20 +157,25 @@ struct LinkFill {
     residual: f64,
     /// Active flows crossing the link not yet frozen.
     unfrozen: u32,
+    /// Epoch in which the component search reached the link.
+    epoch: u32,
 }
 
 /// Reusable buffers for `recompute_rates`. Per-link state is (re)seeded
-/// from the persistent active-link index each call; the flow freeze
-/// stamps are epoch-based so they are never cleared.
+/// for the links the component search reaches each call; the link and
+/// flow stamps are epoch-based, so they are cleared only when the epoch
+/// counter would wrap.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    epoch: u64,
+    /// Advances by two per pass: a flow stamped `epoch - 1` was reached
+    /// by this pass's search, one stamped `epoch` is already frozen.
+    epoch: u32,
     /// Per link: filling state (valid only for links seeded this call).
     fill: Vec<LinkFill>,
-    /// Per slot: epoch in which the flow's rate was frozen.
-    flow_epoch: Vec<u64>,
-    /// Wave-local working copy of the active-link index, compacted as
-    /// links run out of unfrozen flows.
+    /// Per slot: epoch in which the flow was reached or frozen.
+    flow_epoch: Vec<u32>,
+    /// The component's links: the search queue, then the wave working
+    /// set, compacted as links run out of unfrozen flows.
     work: Vec<u32>,
     /// Links tied at the current wave's minimum share (wave-local).
     tied: Vec<u32>,
@@ -193,34 +227,64 @@ pub struct FlowNetwork {
     slot_pos: Vec<u32>,
     /// Per link: slot indices of the active flows crossing it.
     link_flows: Vec<Vec<u32>>,
-    /// Links whose `link_flows` list is non-empty, unordered;
-    /// `link_active_pos` tracks positions.
-    active_links: Vec<u32>,
-    link_active_pos: Vec<u32>,
+    /// Links whose `link_flows` list is non-empty.
+    busy_links: u32,
+    /// Links touched by mutations since rates were last settled; the
+    /// next observation re-rates the component they reach, so mutations
+    /// at one event timestamp coalesce into a single filling pass.
+    dirty_links: Vec<u32>,
+    /// Min-heap of `(completion, seq, slot, generation)`, lazily
+    /// invalidated (see the module docs).
+    completions: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
+    /// Slots re-anchored since `next_completion` last caught the heap up.
+    reanchored: Vec<u32>,
     scratch: Scratch,
     /// Next start-order stamp (see [`FlowSlot::seq`]).
     next_seq: u64,
     clock: SimTime,
-    /// Set by `start`/`remove`; rates are recomputed lazily on the next
-    /// observation, so mutations at one event timestamp coalesce into a
-    /// single progressive-filling pass.
-    dirty: bool,
     /// Lifetime recompute passes (telemetry; plain counter, always on).
     recomputes: u64,
-    /// Sum of active-flow batch sizes over all recompute passes
-    /// (telemetry): `recomputed_flows / recomputes` is the mean dirty-set
-    /// size a pass re-rates.
+    /// Sum of the component sizes those passes re-rated (telemetry):
+    /// `recomputed_flows / recomputes` is the mean batch a pass re-rates.
     recomputed_flows: u64,
 }
 
-/// Lifetime counters of one [`FlowNetwork`], harvested by the telemetry
-/// plane (see [`FlowNetwork::publish_metrics`]).
+/// Lifetime counters of one or more [`FlowNetwork`]s, harvested by the
+/// telemetry plane (see [`FlowEngineStats::publish_metrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowEngineStats {
-    /// Progressive-filling passes actually run (dirty observations).
+    /// Progressive-filling passes actually run (observations that found
+    /// dirty links).
     pub recomputes: u64,
-    /// Sum of the active-flow counts those passes re-rated.
+    /// Sum over those passes of the flows in the component each re-rated
+    /// — not the engine's active-flow count.
     pub recomputed_flows: u64,
+}
+
+impl FlowEngineStats {
+    /// Publish the counters into a metrics registry under `prefix` (e.g.
+    /// `"flow_engine"`), materialised even at zero. Counters from several
+    /// engines merge additively; their ratio does not, so the mean-batch
+    /// gauge is left to [`Self::publish_mean_batch`] once every engine's
+    /// counters are merged.
+    pub fn publish_metrics(&self, reg: &continuum_obs::MetricsRegistry, prefix: &str) {
+        reg.record(&format!("{prefix}.recomputes"), self.recomputes);
+        reg.record(&format!("{prefix}.recomputed_flows"), self.recomputed_flows);
+    }
+
+    /// Set `{prefix}.mean_batch` in a merged snapshot from the counters
+    /// [`Self::publish_metrics`] left there: the mean number of flows a
+    /// pass re-rated, over every engine merged in (0 with no passes).
+    pub fn publish_mean_batch(snap: &mut continuum_obs::MetricsSnapshot, prefix: &str) {
+        let passes = snap.counter(&format!("{prefix}.recomputes"));
+        let flows = snap.counter(&format!("{prefix}.recomputed_flows"));
+        let mean = if passes == 0 {
+            0.0
+        } else {
+            flows as f64 / passes as f64
+        };
+        snap.set_gauge(&format!("{prefix}.mean_batch"), mean);
+    }
 }
 
 impl FlowNetwork {
@@ -237,15 +301,16 @@ impl FlowNetwork {
             active_slots: Vec::new(),
             slot_pos: Vec::new(),
             link_flows: vec![Vec::new(); links],
-            active_links: Vec::new(),
-            link_active_pos: vec![0; links],
+            busy_links: 0,
+            dirty_links: Vec::new(),
+            completions: BinaryHeap::new(),
+            reanchored: Vec::new(),
             scratch: Scratch {
                 fill: vec![LinkFill::default(); links],
                 ..Scratch::default()
             },
             next_seq: 0,
             clock: SimTime::ZERO,
-            dirty: false,
             recomputes: 0,
             recomputed_flows: 0,
         }
@@ -258,21 +323,6 @@ impl FlowNetwork {
             recomputes: self.recomputes,
             recomputed_flows: self.recomputed_flows,
         }
-    }
-
-    /// Publish this engine's counters into a metrics registry under
-    /// `prefix` (e.g. `"executor.flow_engine"`), including the derived
-    /// mean-batch gauge.
-    pub fn publish_metrics(&self, reg: &continuum_obs::MetricsRegistry, prefix: &str) {
-        let s = self.engine_stats();
-        reg.record(&format!("{prefix}.recomputes"), s.recomputes);
-        reg.record(&format!("{prefix}.recomputed_flows"), s.recomputed_flows);
-        let mean = if s.recomputes == 0 {
-            0.0
-        } else {
-            s.recomputed_flows as f64 / s.recomputes as f64
-        };
-        reg.set_gauge(&format!("{prefix}.mean_batch"), mean);
     }
 
     /// Current internal clock (last `advance` / `start` time).
@@ -310,6 +360,7 @@ impl FlowNetwork {
                     rate: 0.0,
                     anchor: SimTime::ZERO,
                     seq: 0,
+                    queued: false,
                 });
                 self.slot_pos.push(0);
                 self.scratch.flow_epoch.push(0);
@@ -327,10 +378,7 @@ impl FlowNetwork {
         f.link_pos.clear();
         for i in 0..self.slots[slot as usize].links.len() {
             let l = self.slots[slot as usize].links[i].0 as usize;
-            if self.link_flows[l].is_empty() {
-                self.link_active_pos[l] = self.active_links.len() as u32;
-                self.active_links.push(l as u32);
-            }
+            self.busy_links += u32::from(self.link_flows[l].is_empty());
             self.slots[slot as usize]
                 .link_pos
                 .push(self.link_flows[l].len() as u32);
@@ -338,9 +386,10 @@ impl FlowNetwork {
         }
         self.slot_pos[slot as usize] = self.active_slots.len() as u32;
         self.active_slots.push(slot);
-        let id = FlowId::new(slot, self.slots[slot as usize].generation);
-        self.dirty = true;
-        Some(id)
+        // The new flow joins its links into one component; any of them
+        // reaches all of it.
+        self.dirty_links.push(path.links[0].0);
+        Some(FlowId::new(slot, self.slots[slot as usize].generation))
     }
 
     /// Remove a flow (completion or cancellation) at time `now`.
@@ -361,6 +410,7 @@ impl FlowNetwork {
         }
         // Unhook from every link's flow index.
         let links = std::mem::replace(&mut self.slots[slot].links, Vec::new().into());
+        // Every link is dirty: removing the flow may split its component.
         for (i, &l) in links.iter().enumerate() {
             let pos = self.slots[slot].link_pos[i] as usize;
             let list = &mut self.link_flows[l.0 as usize];
@@ -373,15 +423,9 @@ impl FlowNetwork {
                     .position(|&x| x == l)
                     .expect("moved flow crosses this link");
                 self.slots[moved].link_pos[j] = pos as u32;
-            } else if list.is_empty() {
-                // Last flow left this link: drop it from the active-link
-                // index, patching the position of the entry swapped in.
-                let apos = self.link_active_pos[l.0 as usize] as usize;
-                self.active_links.swap_remove(apos);
-                if apos < self.active_links.len() {
-                    self.link_active_pos[self.active_links[apos] as usize] = apos as u32;
-                }
             }
+            self.busy_links -= u32::from(list.is_empty());
+            self.dirty_links.push(l.0);
         }
         // Unhook from the active list.
         let pos = self.slot_pos[slot] as usize;
@@ -392,7 +436,6 @@ impl FlowNetwork {
         self.slots[slot].generation = self.slots[slot].generation.wrapping_add(1);
         self.slots[slot].rate = 0.0;
         self.free_slots.push(slot as u32);
-        self.dirty = true;
     }
 
     /// Fail a link at time `now`: its capacity drops to zero and every
@@ -435,10 +478,11 @@ impl FlowNetwork {
         // that saw the same flows start (ids depend on slot-reuse history).
         by_seq.sort_unstable_by_key(|&(seq, _)| seq);
         let aborted: Vec<AbortedFlow> = by_seq.into_iter().map(|(_, a)| a).collect();
+        // Removing the aborted flows dirties the link; with no flows left
+        // on it, its capacity reaches no rate until a `start` dirties it.
         for a in &aborted {
             self.remove(now, a.id);
         }
-        self.dirty = true;
         aborted
     }
 
@@ -453,7 +497,7 @@ impl FlowNetwork {
         self.advance(now);
         self.link_up[li] = true;
         self.capacity[li] = self.base_capacity[li];
-        self.dirty = true;
+        self.dirty_links.push(link.0);
     }
 
     /// Whether a link currently carries traffic (not failed).
@@ -471,32 +515,41 @@ impl FlowNetwork {
     ///
     /// Flows stalled at rate zero (e.g. crossing a failed link) never
     /// complete and are excluded; they reappear once capacity returns.
+    ///
+    /// Ties break on start order (`seq`), which is reproducible across
+    /// engine instances; slot ids are not (LIFO reuse).
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
         self.ensure_rates();
-        self.active_slots
-            .iter()
-            .filter_map(|&s| {
-                let f = &self.slots[s as usize];
-                if f.rate <= 0.0 {
-                    return None;
+        if self.completions.len() > 3 * self.active_slots.len() + 32 {
+            // Stale entries outnumber live flows about two to one: rebuild
+            // from every live flow.
+            self.completions.clear();
+            for &s in &self.active_slots {
+                let f = &mut self.slots[s as usize];
+                if !f.queued {
+                    f.queued = true;
+                    self.reanchored.push(s);
                 }
-                // Completion is projected from the flow's anchor, not the
-                // current clock: the anchor is the last instant its rate
-                // changed, so `remaining` is exact there and the flow has
-                // drained at `rate` ever since. Clamp so the nanosecond
-                // conversion cannot overflow the clock; no real flow takes
-                // anywhere near 1e9 seconds.
-                let dt = (f.remaining / f.rate).min(1e9);
-                // Ties broken by start order (`seq`), which is reproducible
-                // across engine instances; slot ids are not (LIFO reuse).
-                Some((
-                    f.anchor + SimDuration::from_secs_f64(dt),
-                    f.seq,
-                    FlowId::new(s, f.generation),
-                ))
-            })
-            .min_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap())
-            .map(|(t, _, id)| (t, id))
+            }
+        }
+        for s in self.reanchored.drain(..) {
+            let f = &mut self.slots[s as usize];
+            f.queued = false;
+            if let Some(t) = f.completion() {
+                self.completions.push(Reverse((t, f.seq, s, f.generation)));
+            }
+        }
+        // Every live flow with a positive rate has now pushed its current
+        // completion, so the least entry that still matches its flow is
+        // the answer.
+        while let Some(&Reverse((t, _, slot, generation))) = self.completions.peek() {
+            let f = &self.slots[slot as usize];
+            if f.generation == generation && f.completion() == Some(t) {
+                return Some((t, FlowId::new(slot, generation)));
+            }
+            self.completions.pop();
+        }
+        None
     }
 
     /// Advance the clock to `now`.
@@ -537,42 +590,75 @@ impl FlowNetwork {
         (f.generation == id.generation() && !f.links.is_empty()).then_some(f)
     }
 
-    /// Progressive filling restricted to the links that carry flows:
-    /// repeatedly saturate the most constrained active link and freeze the
-    /// unfrozen flows crossing it at its fair share.
     /// Run the deferred recomputation if any mutation happened since the
     /// rates were last brought up to date.
     fn ensure_rates(&mut self) {
-        if self.dirty {
+        if !self.dirty_links.is_empty() {
             self.recompute_rates();
-            self.dirty = false;
         }
     }
 
+    /// Progressive filling over the component of the flow–link graph the
+    /// dirty links reach: repeatedly saturate its most constrained link
+    /// and freeze the unfrozen flows crossing it at its fair share.
     fn recompute_rates(&mut self) {
-        self.recomputes += 1;
-        self.recomputed_flows += self.active_slots.len() as u64;
         // Mutations are applied at the current clock (advance() settles
         // rates before moving it), so flows whose rate changes re-anchor
         // here, at the instant the change takes effect.
         let now = self.clock;
         let sc = &mut self.scratch;
-        sc.epoch += 1;
-        let epoch = sc.epoch;
-        // Seed per-link filling state from the persistent active-link
-        // index: full capacity, and every crossing flow unfrozen. No
-        // per-flow discovery pass is needed — `link_flows` is maintained
-        // by `start`/`remove`.
-        for &li in &self.active_links {
-            let li = li as usize;
-            sc.fill[li] = LinkFill {
-                residual: self.capacity[li],
-                unfrozen: self.link_flows[li].len() as u32,
-            };
+        if sc.epoch > u32::MAX - 2 {
+            // The stamps would repeat: clear them and count afresh.
+            sc.epoch = 0;
+            sc.flow_epoch.fill(0);
+            sc.fill.iter_mut().for_each(|f| f.epoch = 0);
         }
+        sc.epoch += 2;
+        let (reached, epoch) = (sc.epoch - 1, sc.epoch);
+        // Breadth-first search of the flow–link graph from the dirty
+        // links. Once it has queued every link that carries flows, the
+        // component is the whole network and the search can stop.
         sc.work.clear();
-        sc.work.extend_from_slice(&self.active_links);
-        let mut remaining_flows = self.active_slots.len();
+        let mut found = 0; // queued links that carry flows
+        for l in self.dirty_links.drain(..) {
+            if sc.fill[l as usize].epoch != epoch {
+                sc.fill[l as usize].epoch = epoch;
+                sc.work.push(l);
+                found += u32::from(!self.link_flows[l as usize].is_empty());
+            }
+        }
+        let mut remaining_flows = 0;
+        let mut head = 0;
+        while head < sc.work.len() && found < self.busy_links {
+            let li = sc.work[head] as usize;
+            head += 1;
+            for &s in &self.link_flows[li] {
+                if sc.flow_epoch[s as usize] == reached {
+                    continue;
+                }
+                sc.flow_epoch[s as usize] = reached;
+                remaining_flows += 1;
+                for &l in self.slots[s as usize].links.iter() {
+                    if sc.fill[l.0 as usize].epoch != epoch {
+                        sc.fill[l.0 as usize].epoch = epoch;
+                        sc.work.push(l.0);
+                        found += 1;
+                    }
+                }
+            }
+        }
+        if found == self.busy_links {
+            remaining_flows = self.active_slots.len();
+        }
+        // Seed the component's links: full capacity, every crossing flow
+        // unfrozen.
+        for &li in &sc.work {
+            let li = li as usize;
+            sc.fill[li].residual = self.capacity[li];
+            sc.fill[li].unfrozen = self.link_flows[li].len() as u32;
+        }
+        self.recomputes += 1;
+        self.recomputed_flows += remaining_flows as u64;
         while remaining_flows > 0 {
             // Minimum fair share among links carrying unfrozen flows.
             // Links whose flows have all frozen are compacted out so
@@ -633,6 +719,10 @@ impl FlowNetwork {
                         }
                         f.anchor = now;
                         f.rate = min_share;
+                        if !f.queued {
+                            f.queued = true;
+                            self.reanchored.push(s as u32);
+                        }
                     }
                     remaining_flows -= 1;
                     for &l in self.slots[s].links.iter() {
@@ -670,7 +760,7 @@ impl FlowNetwork {
     /// Reference implementation: the seed's from-scratch progressive
     /// filling over *all* links, recomputing every rate for the current
     /// flow set. Kept as an oracle for equivalence tests against the
-    /// engine's active-link recompute; not part of the public API.
+    /// engine's component-local recompute; not part of the public API.
     #[doc(hidden)]
     pub fn oracle_rates(&self) -> Vec<(FlowId, f64)> {
         let flows: Vec<(FlowId, &FlowSlot)> = {
@@ -737,7 +827,7 @@ mod tests {
     use super::*;
     use crate::routing::RouteTable;
     use crate::topology::{NodeId, Tier, Topology};
-    use continuum_sim::SimDuration;
+    use continuum_sim::{Rng, SimDuration};
 
     /// Linear chain a - b - c with 1e6 B/s links, negligible latency.
     fn chain() -> (Topology, RouteTable) {
@@ -782,11 +872,65 @@ mod tests {
             }
         );
         let reg = continuum_obs::MetricsRegistry::new();
-        fnw.publish_metrics(&reg, "fe");
-        let snap = reg.snapshot();
+        fnw.engine_stats().publish_metrics(&reg, "fe");
+        let mut snap = reg.snapshot();
+        FlowEngineStats::publish_mean_batch(&mut snap, "fe");
         assert_eq!(snap.counter("fe.recomputes"), 1);
         assert_eq!(snap.counter("fe.recomputed_flows"), 2);
         assert_eq!(snap.gauge("fe.mean_batch"), Some(2.0));
+
+        // Two components: a-b and b-c carry disjoint flows. A pass counts
+        // only the flows of the component its mutation touched.
+        let mut fnw = FlowNetwork::new(&t);
+        let ab = rt.path(&t, NodeId(0), NodeId(1)).unwrap();
+        let bc = rt.path(&t, NodeId(1), NodeId(2)).unwrap();
+        let x = fnw.start(SimTime::ZERO, &ab, 1_000_000).unwrap();
+        fnw.start(SimTime::ZERO, &bc, 1_000_000).unwrap();
+        fnw.start(SimTime::ZERO, &bc, 1_000_000).unwrap();
+        fnw.rate(x);
+        assert_eq!(fnw.engine_stats().recomputed_flows, 3);
+        fnw.start(SimTime::ZERO, &ab, 1_000_000).unwrap();
+        assert_eq!(fnw.rate(x), Some(5e5));
+        assert_eq!(
+            fnw.engine_stats(),
+            FlowEngineStats {
+                recomputes: 2,
+                recomputed_flows: 5
+            }
+        );
+        fnw.remove(SimTime::ZERO, x);
+        assert_eq!(
+            fnw.next_completion().map(|(t, _)| t),
+            Some(SimTime::from_secs(1))
+        );
+        assert_eq!(
+            fnw.engine_stats(),
+            FlowEngineStats {
+                recomputes: 3,
+                recomputed_flows: 6
+            }
+        );
+    }
+
+    #[test]
+    fn epoch_wrap_clears_stamps() {
+        // a - b at 1e6 B/s, b - c at 2e5 B/s.
+        let mut t = Topology::new();
+        let a = t.add_node("a", Tier::Edge);
+        let b = t.add_node("b", Tier::Fog);
+        let c = t.add_node("c", Tier::Cloud);
+        t.add_link(a, b, SimDuration::from_micros(1), 1e6);
+        t.add_link(b, c, SimDuration::from_micros(1), 2e5);
+        let rt = RouteTable::build(&t);
+        let mut fnw = FlowNetwork::new(&t);
+        let x = fnw.start(SimTime::ZERO, &rt.path(&t, a, b).unwrap(), 1_000_000);
+        assert_eq!(fnw.rate(x.unwrap()), Some(1e6));
+        // The next pass would wrap the epoch; b - c was never reached, so
+        // a stale zero stamp would hide it from the search.
+        fnw.scratch.epoch = u32::MAX - 1;
+        let y = fnw.start(SimTime::ZERO, &rt.path(&t, a, c).unwrap(), 1_000_000);
+        assert_eq!(fnw.rate(y.unwrap()), Some(2e5));
+        assert_eq!(fnw.rate(x.unwrap()), Some(8e5));
     }
 
     #[test]
@@ -1019,5 +1163,196 @@ mod tests {
         let rates = fnw.oracle_rates();
         assert_eq!(rates.len(), 1);
         assert_eq!(rates[0].0, c);
+    }
+
+    /// Cases per flow-engine equivalence property; `CONTINUUM_FLOW_CASES`
+    /// pushes them harder.
+    fn flow_cases() -> u32 {
+        std::env::var("CONTINUUM_FLOW_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1000)
+    }
+
+    /// A random connected topology: a spanning chain plus extra edges.
+    fn random_topology(seed: u64, n: usize, extra: usize) -> Topology {
+        let mut rng = Rng::new(seed);
+        let mut t = Topology::new();
+        for i in 0..n {
+            t.add_node(format!("n{i}"), Tier::Fog);
+        }
+        let link = |t: &mut Topology, a: u32, b: u32, rng: &mut Rng| {
+            t.add_link(
+                NodeId(a),
+                NodeId(b),
+                SimDuration::from_micros(rng.range_u64(100, 10_000)),
+                rng.range_f64(1e6, 1e9),
+            );
+        };
+        for i in 1..n {
+            let parent = rng.below(i as u64) as u32;
+            link(&mut t, i as u32, parent, &mut rng);
+        }
+        for _ in 0..extra {
+            let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+            if a != b {
+                link(&mut t, a, b, &mut rng);
+            }
+        }
+        t
+    }
+
+    /// A hub with `spokes` spokes of three nodes each (`s - c0`, `s - c1`)
+    /// and 1e6..1e8 B/s links. Flows mostly stay inside one spoke, so the
+    /// flow–link graph splits into many components that an occasional
+    /// cross-hub flow merges.
+    fn star(seed: u64, spokes: usize) -> (Topology, Vec<Vec<NodeId>>) {
+        let mut rng = Rng::new(seed);
+        let mut t = Topology::new();
+        let hub = t.add_node("hub", Tier::Cloud);
+        let mut groups = Vec::new();
+        for i in 0..spokes {
+            let s = t.add_node(format!("s{i}"), Tier::Fog);
+            let mut group = vec![s];
+            t.add_link(
+                hub,
+                s,
+                SimDuration::from_micros(100),
+                rng.range_f64(1e6, 1e8),
+            );
+            for j in 0..2 {
+                let c = t.add_node(format!("c{i}.{j}"), Tier::Edge);
+                t.add_link(s, c, SimDuration::from_micros(100), rng.range_f64(1e6, 1e8));
+                group.push(c);
+            }
+            groups.push(group);
+        }
+        (t, groups)
+    }
+
+    /// The linear scan `next_completion` used before the completion
+    /// heap: the reference the heap is checked against.
+    fn next_completion_scan(net: &mut FlowNetwork) -> Option<(SimTime, FlowId)> {
+        net.ensure_rates();
+        net.active_slots
+            .iter()
+            .filter_map(|&s| {
+                let f = &net.slots[s as usize];
+                if f.rate <= 0.0 {
+                    return None;
+                }
+                let dt = (f.remaining / f.rate).min(1e9);
+                Some((
+                    f.anchor + SimDuration::from_secs_f64(dt),
+                    f.seq,
+                    FlowId::new(s, f.generation),
+                ))
+            })
+            .min_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).unwrap())
+            .map(|(t, _, id)| (t, id))
+    }
+
+    /// Random start / remove / fail / restore / complete churn, with
+    /// `path` drawing each new flow's route. After every op the engine
+    /// must equal, bit for bit, a clone whose every link is marked dirty
+    /// (a full re-rate), and its completion heap must agree with the
+    /// linear scan.
+    fn churn_matches_full_rerate(
+        t: &Topology,
+        seed: u64,
+        ops: usize,
+        mut path: impl FnMut(&mut Rng) -> Option<Path>,
+    ) {
+        let n_links = t.links().len();
+        let mut fnw = FlowNetwork::new(t);
+        let mut rng = Rng::new(seed);
+        let mut live: Vec<FlowId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..ops {
+            if rng.chance(0.3) {
+                now += SimDuration::from_micros(rng.below(2_000));
+            }
+            match rng.below(7) {
+                0..=2 => {
+                    // Starting over a dead link is allowed: the flow
+                    // stalls at rate zero until the link returns.
+                    if let Some(p) = path(&mut rng) {
+                        if let Some(id) = fnw.start(now, &p, rng.range_u64(1_000, 10_000_000)) {
+                            live.push(id);
+                        }
+                    }
+                }
+                3 => {
+                    if !live.is_empty() {
+                        let id = live.swap_remove(rng.index(live.len()));
+                        fnw.remove(now, id);
+                    }
+                }
+                4 => {
+                    let l = LinkId(rng.below(n_links as u64) as u32);
+                    for a in fnw.fail_link(now, l) {
+                        live.retain(|&x| x != a.id);
+                    }
+                }
+                5 => fnw.restore_link(now, LinkId(rng.below(n_links as u64) as u32)),
+                _ => {
+                    if let Some((tc, id)) = fnw.next_completion() {
+                        now = now.max(tc);
+                        fnw.remove(now, id);
+                        live.retain(|&x| x != id);
+                    }
+                }
+            }
+            let mut full = fnw.clone();
+            full.dirty_links.extend(0..n_links as u32);
+            for &id in &live {
+                let bits = |x: Option<f64>| x.map(f64::to_bits);
+                assert_eq!(bits(fnw.rate(id)), bits(full.rate(id)), "rate of {id:?}");
+                assert_eq!(
+                    bits(fnw.remaining(id)),
+                    bits(full.remaining(id)),
+                    "remaining of {id:?}"
+                );
+            }
+            let next = fnw.next_completion();
+            assert_eq!(next, next_completion_scan(&mut fnw), "heap vs scan");
+            assert_eq!(next, next_completion_scan(&mut full), "vs full re-rate");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: flow_cases(),
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Component-local re-rating and the completion heap are
+        /// bit-identical to re-rating every flow and scanning for the
+        /// earliest completion, on a random mesh (one large component)
+        /// and on a star whose flows stay spoke-local (many components).
+        #[test]
+        fn component_rerate_matches_full_rerate_bitwise(
+            seed in proptest::any::<u64>(),
+            n in 4usize..24,
+            ops in 5usize..60,
+        ) {
+            let t = random_topology(seed, n, n / 2);
+            let rt = RouteTable::build(&t);
+            churn_matches_full_rerate(&t, seed ^ 0xF10, ops, |rng| {
+                let a = NodeId(rng.below(n as u64) as u32);
+                let b = NodeId(rng.below(n as u64) as u32);
+                rt.path(&t, a, b)
+            });
+
+            let (t, groups) = star(seed, 2 + n / 3);
+            let rt = RouteTable::build(&t);
+            churn_matches_full_rerate(&t, seed ^ 0x57A, ops, |rng| {
+                let g = rng.index(groups.len());
+                let a = *rng.choose(&groups[g]);
+                // One flow in ten crosses the hub into another spoke.
+                let h = if rng.chance(0.1) { rng.index(groups.len()) } else { g };
+                rt.path(&t, a, *rng.choose(&groups[h]))
+            });
+        }
     }
 }

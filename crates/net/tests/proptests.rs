@@ -193,8 +193,17 @@ proptest! {
     }
 }
 
+/// Cases for the flow-engine equivalence property;
+/// `CONTINUUM_FLOW_CASES` pushes it harder.
+fn flow_cases() -> u32 {
+    std::env::var("CONTINUUM_FLOW_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1000)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 1000, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: flow_cases(), ..ProptestConfig::default() })]
 
     /// The incremental rate engine agrees with the from-scratch oracle
     /// (the seed's progressive-filling algorithm, kept as

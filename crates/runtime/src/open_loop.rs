@@ -22,7 +22,7 @@ use crate::shard::{
 };
 use crate::simrun::{ExecCore, FaultPlane, FaultSpec, StreamRequest};
 use continuum_model::{CostMeter, EnergyMeter};
-use continuum_net::RegionPartition;
+use continuum_net::{FlowEngineStats, RegionPartition};
 use continuum_obs::{
     HealthPlane, HealthReport, HealthSpec, Histogram, MetricsRegistry, MetricsSnapshot, Telemetry,
 };
@@ -297,6 +297,7 @@ fn publish_slo_metrics(t: &Telemetry, report: &OpenLoopReport, core_snaps: Vec<M
     for s in &core_snaps {
         snap.merge(s);
     }
+    FlowEngineStats::publish_mean_batch(&mut snap, "flow_engine");
     t.metrics.absorb(&snap);
 }
 

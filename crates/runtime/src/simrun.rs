@@ -21,8 +21,8 @@
 use crate::trace::{ExecutionTrace, TaskRecord};
 use continuum_model::{CostMeter, DeviceId, EnergyMeter};
 use continuum_net::{
-    shortest_path_avoiding, FlowId, FlowNetwork, LinkId, NodeId, Path, RegionPartition, RouteCache,
-    RouteSeg,
+    shortest_path_avoiding, FlowEngineStats, FlowId, FlowNetwork, LinkId, NodeId, Path,
+    RegionPartition, RouteCache, RouteSeg,
 };
 use continuum_obs::{Histogram, MetricsRegistry, MetricsSnapshot, Telemetry, Tracer};
 use continuum_placement::{Env, Metrics, OnlinePlacer, Placement};
@@ -2336,7 +2336,7 @@ impl<'a> ExecCore<'a> {
         let end_time = sink.last_finish;
         let snap = self
             .collect
-            .then(|| harvest_core_metrics(&self.rcache, &self.queue, &self.network, &self.obs));
+            .then(|| harvest_core_metrics(&self.rcache, &self.queue, self.flow_stats(), &self.obs));
         OpenCoreParts {
             latency: sink.latency,
             task_duration: sink.task_duration,
@@ -2357,6 +2357,18 @@ impl<'a> ExecCore<'a> {
             cost: self.cost,
             snap,
         }
+    }
+
+    /// Lifetime counters of every flow engine this core drove: the global
+    /// network plus, in partition mode, each owned region's domain.
+    fn flow_stats(&self) -> FlowEngineStats {
+        let mut stats = self.network.engine_stats();
+        for net in self.part.iter().flat_map(|p| p.nets.iter().flatten()) {
+            let s = net.engine_stats();
+            stats.recomputes += s.recomputes;
+            stats.recomputed_flows += s.recomputed_flows;
+        }
+        stats
     }
 
     /// Partition mode teardown check: no transfer may still be streaming,
@@ -2390,7 +2402,7 @@ impl<'a> ExecCore<'a> {
         }
         let snap = self
             .collect
-            .then(|| harvest_core_metrics(&self.rcache, &self.queue, &self.network, &self.obs));
+            .then(|| harvest_core_metrics(&self.rcache, &self.queue, self.flow_stats(), &self.obs));
         CoreParts {
             request_finish: self
                 .gids
@@ -2594,6 +2606,7 @@ pub(crate) fn assemble(
         for s in &snaps {
             snap.merge(s);
         }
+        FlowEngineStats::publish_mean_batch(&mut snap, "flow_engine");
         t.metrics.absorb(&snap);
         if t.trace_enabled() {
             synthesize_trace(&t, env, plane, layout, &trace, &marks);
@@ -2637,20 +2650,20 @@ fn harvest_run_metrics(trace: &ExecutionTrace, metrics: &Metrics) -> MetricsSnap
 }
 
 /// Fold one core's component counters (route cache, event queue, flow
-/// engine, executor tallies) into a fresh [`MetricsSnapshot`]. Counters
+/// engines, executor tallies) into a fresh [`MetricsSnapshot`]. Counters
 /// and histograms from different cores merge additively; the flow
-/// engine's mean-batch gauge is last-write-wins across cores, which is
-/// acceptable for a diagnostic.
+/// engine's mean-batch ratio is derived once from the merged counters
+/// (see [`FlowEngineStats::publish_mean_batch`]).
 fn harvest_core_metrics(
     rcache: &RouteCache,
     queue: &EventQueue<Ev>,
-    network: &FlowNetwork,
+    flow: FlowEngineStats,
     obs: &ExecObs,
 ) -> MetricsSnapshot {
     let reg = MetricsRegistry::new();
     rcache.publish_metrics(&reg, "route_cache");
     queue.publish_metrics(&reg, "event_queue");
-    network.publish_metrics(&reg, "flow_engine");
+    flow.publish_metrics(&reg, "flow_engine");
     reg.record("executor.stalls", obs.stalls);
     reg.inc("executor.publishes", obs.publishes);
     reg.inc("executor.publish_fanout", obs.publish_fanout);

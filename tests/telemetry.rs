@@ -501,6 +501,15 @@ fn open_loop_sharded_telemetry_on_is_bit_identical_to_off() {
     let snap = tele.metrics.snapshot();
     assert!(snap.gauge("shard.util.mean_events").is_some());
     assert!(snap.gauge("shard.util.imbalance").is_some());
+    // Pinned cores move every byte through region flow domains; their
+    // passes count, and the mean batch comes from the merged counters.
+    let passes = snap.counter("flow_engine.recomputes");
+    assert!(passes > 0, "region flow domains are not counted");
+    let flows = snap.counter("flow_engine.recomputed_flows");
+    assert_eq!(
+        snap.gauge("flow_engine.mean_batch"),
+        Some(flows as f64 / passes as f64)
+    );
 }
 
 /// Telemetry on vs off is bit-identical for the federation: the
