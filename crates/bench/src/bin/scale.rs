@@ -1,22 +1,19 @@
-//! scale — scaling benchmark for the region-sharded executor.
+//! scale — scaling benchmark for the stream executors at fleet scale.
 //!
 //! Two sections, one JSON report (`BENCH_scale.json`):
 //!
 //! **fat_tree** — a ~100k-device `fat_tree(10, 8)` fabric carrying
-//! pod-local streaming workloads, partitioned by pod and run through
-//! [`simulate_stream_sharded`]'s request-confined mode at 1, 2, 4, and 8
-//! shards. Every arm is asserted **bit-identical** to the single-queue
-//! executor, on a 1-thread pool and on the ambient pool, before anything
-//! is timed.
+//! pod-local streaming workloads, timed on the single-queue executor
+//! ([`simulate_stream_chaos`]): how fast one event calendar and one
+//! component-local max-min flow engine run a 100k-device fleet.
 //!
-//! **continuum** — the workload request confinement cannot shard: a
-//! sensor→fog→cloud continuum where ~90% of requests span fog and cloud,
-//! so the union-find plan collapses to one shard (asserted). Pinned mode
-//! shards it anyway — tasks run where they were placed and boundary
-//! transfers ride between shards as conservative envelopes. Every pinned
-//! arm is asserted bit-identical to the pinned one-shard reference;
-//! speedups are quoted against the single-queue global-flow executor,
-//! whose all-flows-in-one-network per-event cost is what pinning removes.
+//! **continuum** — a sensor→fog→cloud continuum where ~90% of requests
+//! span fog and cloud, sharded by [`simulate_stream_sharded`]: tasks run
+//! where they were placed and boundary transfers ride between shards as
+//! conservative envelopes. Every pinned arm is asserted bit-identical to
+//! the pinned one-shard reference; speedups are quoted against the
+//! single-queue global-flow executor, whose all-flows-in-one-network
+//! per-event cost is what pinning removes.
 //!
 //! Run from the workspace root:
 //!
@@ -24,8 +21,8 @@
 //! cargo run --release -p continuum-bench --bin scale
 //! ```
 //!
-//! Every arm is timed twice: on the ambient rayon pool (`ms`, with the
-//! pool size in `threads`) and on a 1-thread pool (`ms_1_thread`).
+//! Every pinned arm is timed twice: on the ambient rayon pool (`ms`, with
+//! the pool size in `threads`) and on a 1-thread pool (`ms_1_thread`).
 //!
 //! `--smoke` shrinks both worlds so CI can assert the identities and
 //! JSON emission without paying the full measurement cost, and writes
@@ -34,10 +31,8 @@
 
 use continuum_core::prelude::*;
 use continuum_model::standard_fleet;
-use continuum_net::{continuum, continuum_regions, fat_tree, fat_tree_regions, RegionPartition};
-use continuum_runtime::{
-    plan_shards, simulate_stream_chaos, simulate_stream_sharded, ShardOpts, SimOutcome,
-};
+use continuum_net::{continuum, continuum_regions, fat_tree, RegionPartition};
+use continuum_runtime::{simulate_stream_chaos, simulate_stream_sharded, ShardOpts, SimOutcome};
 use serde_json::json;
 use std::time::Instant;
 
@@ -74,16 +69,14 @@ fn event_volume(reqs: usize, out: &SimOutcome) -> u64 {
 struct World {
     env: Env,
     reqs: Vec<StreamRequest>,
-    partition: RegionPartition,
     hosts: usize,
 }
 
-/// The confined-mode scaling world: a fat-tree fabric whose pods each
-/// carry an independent stream of staggered requests. Placements
-/// round-robin consecutive tasks across the pod's hosts so every DAG
-/// edge is a real transfer, and requests overlap in time so each pod
-/// keeps many flows in flight — the per-event flow-engine cost the
-/// sharding attacks.
+/// The fleet-scale world: a fat-tree fabric whose pods each carry an
+/// independent stream of staggered requests. Placements round-robin
+/// consecutive tasks across the pod's hosts so every DAG edge is a real
+/// transfer, and requests overlap in time so each pod keeps many flows
+/// in flight.
 fn build_world(smoke: bool) -> World {
     let (k, hpe, dev_per_host, reqs_per_pod, tasks) = if smoke {
         (4, 2, 1, 2, 12)
@@ -99,7 +92,6 @@ fn build_world(smoke: bool) -> World {
         }
     }
     let env = Env::new(topo, fleet);
-    let partition = RegionPartition::new(&env.topology, fat_tree_regions(k, hpe), 0);
 
     let hosts_per_pod = (k / 2) * hpe;
     let mut rng = Rng::new(0x5CA1E);
@@ -118,8 +110,7 @@ fn build_world(smoke: bool) -> World {
                     width: 8,
                     source: pod_hosts[i % pod_hosts.len()],
                     // ~20 MB median items over 1 Gb/s links: flows are
-                    // long-lived and pile up, so flow-engine work (which
-                    // scales with the *shard's* active flow set) is the
+                    // long-lived and pile up, so flow-engine work is the
                     // dominant per-event cost.
                     bytes_mu: (2e7f64).ln(),
                     // ~1 Gflop median on 3 Gflop/s-per-core gateways:
@@ -146,67 +137,16 @@ fn build_world(smoke: bool) -> World {
     World {
         env,
         reqs,
-        partition,
         hosts: hosts.len(),
     }
 }
 
-fn run_sharded(w: &World, opts: &ShardOpts) -> SimOutcome {
-    simulate_stream_sharded(&w.env, &w.reqs, None, None, &w.partition, opts)
-}
-
 fn bench_fat_tree(smoke: bool, reps: usize) -> serde_json::Value {
     let w = build_world(smoke);
-    let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-
-    // Identity first, timing second: the single-queue executor is the
-    // reference, and every shard count must reproduce its outcome
-    // bit-for-bit on a 1-thread pool and on the ambient pool.
-    eprintln!("scale[fat_tree]: asserting identity across all arms ...");
-    let reference = simulate_stream_chaos(&w.env, &w.reqs, None, None);
-    for &n in shard_counts {
-        let opts = ShardOpts::with_max_shards(n);
-        assert_eq!(
-            run_sharded(&w, &opts),
-            reference,
-            "{n}-shard outcome diverged from the single-queue executor"
-        );
-        assert_eq!(
-            one_thread(|| run_sharded(&w, &opts)),
-            reference,
-            "1-thread {n}-shard outcome diverged from the single-queue executor"
-        );
-    }
-
-    // Events processed per run (identical across arms, by the identity
-    // just asserted).
-    let events = event_volume(w.reqs.len(), &reference);
-
-    eprintln!("scale[fat_tree]: timing single-queue reference ...");
-    let single_ms = best_of(reps, || simulate_stream_chaos(&w.env, &w.reqs, None, None));
-
-    let mut arms = Vec::new();
-    let mut ms_at = Vec::new();
-    for &n in shard_counts {
-        let opts = ShardOpts::with_max_shards(n);
-        eprintln!("scale[fat_tree]: timing {n}-shard ...");
-        let t = best_of(reps, || run_sharded(&w, &opts));
-        let t1 = one_thread(|| best_of(reps, || run_sharded(&w, &opts)));
-        ms_at.push(t);
-        arms.push(json!({
-            "shards": n,
-            "ms": t,
-            "ms_1_thread": t1,
-            "events_per_sec": events as f64 / (t / 1e3),
-        }));
-    }
-
-    let speedups: Vec<serde_json::Value> = shard_counts
-        .iter()
-        .zip(&ms_at)
-        .map(|(&n, &t)| json!({ "shards": n, "speedup_vs_1_shard": ms_at[0] / t }))
-        .collect();
-
+    let run = || simulate_stream_chaos(&w.env, &w.reqs, None, None);
+    let events = event_volume(w.reqs.len(), &run());
+    eprintln!("scale[fat_tree]: timing the single-queue executor ...");
+    let single_ms = best_of(reps, run);
     json!({
         "nodes": w.env.topology.node_count(),
         "hosts": w.hosts,
@@ -214,24 +154,13 @@ fn bench_fat_tree(smoke: bool, reps: usize) -> serde_json::Value {
         "requests": w.reqs.len(),
         "events": events,
         "single_queue_ms": single_ms,
-        "arms": arms,
-        "speedups": speedups,
+        "events_per_sec": events as f64 / (single_ms / 1e3),
         "notes": [
-            "Every arm is asserted bit-identical to the single-queue executor \
-             — every trace record and f64 metric — on a 1-thread pool and on \
-             the ambient pool before anything is timed.",
             "events counts arrivals + per-transfer start/completion pairs + \
-             task finishes; it is identical across arms by the identity \
-             assert, so events_per_sec ratios equal wall-time ratios.",
-            "Shards are request-confined (no two shards share a device or \
-             link), so their flows never share a max-min component. The flow \
-             engine re-rates only the component a mutation touches, so the \
-             single queue and the 1-shard arm already skip every other \
-             request's flows; sharding adds only smaller calendars and flow \
-             slabs per shard. The shards exchange no messages, so each runs \
-             to completion in one fork across the rayon pool; ms is that \
-             fork at `threads` threads, ms_1_thread the same arms on one \
-             thread.",
+             task finishes.",
+            "The single-queue executor is serial: one event calendar and one \
+             max-min flow engine that re-rates only the component a mutation \
+             touches, so pod-local requests never pay for each other's flows.",
         ],
     })
 }
@@ -246,7 +175,7 @@ struct ContWorld {
 /// The pinned-mode scaling world: a sensor→fog→cloud continuum where 9
 /// of every 10 requests place consecutive tasks alternately on fog and
 /// backbone (cloud/HPC) devices, so nearly every DAG edge crosses the
-/// fog↔cloud boundary and the union-find plan collapses to one shard.
+/// fog↔cloud boundary.
 fn build_continuum_world(smoke: bool) -> ContWorld {
     let spec = if smoke {
         ContinuumSpec {
@@ -334,24 +263,8 @@ fn bench_continuum(smoke: bool, reps: usize) -> serde_json::Value {
         "continuum workload must be spanning-heavy (got {frac:.2})"
     );
 
-    // The point of the exercise: request confinement yields ONE shard on
-    // this workload — the old executor cannot shard it at all.
-    let plan = plan_shards(&w.env, &w.reqs, &w.partition, usize::MAX);
-    assert_eq!(
-        plan.groups.len(),
-        1,
-        "spanning workload should defeat request confinement"
-    );
-
     let pinned = |n: usize| {
-        simulate_stream_sharded(
-            &w.env,
-            &w.reqs,
-            None,
-            None,
-            &w.partition,
-            &ShardOpts::pinned(n),
-        )
+        simulate_stream_sharded(&w.env, &w.reqs, None, &w.partition, &ShardOpts::pinned(n))
     };
 
     // Identity first: every pinned arm, on a 1-thread pool and on the
@@ -405,17 +318,16 @@ fn bench_continuum(smoke: bool, reps: usize) -> serde_json::Value {
         "devices": w.env.fleet.len(),
         "requests": w.reqs.len(),
         "spanning_fraction": frac,
-        "confined_plan_shards": 1,
         "events": events,
         "single_queue_ms": chaos_ms,
         "single_queue_events": chaos_events,
         "single_queue_events_per_sec": chaos_eps,
         "arms": arms,
         "notes": [
-            "Request confinement collapses to ONE shard on this workload \
-             (asserted): ~90% of requests alternate tasks across the \
-             fog↔cloud boundary, so every region co-occurs with the \
-             backbone. Pinned mode is what makes it shard at all.",
+            "~90% of requests alternate tasks across the fog↔cloud \
+             boundary (spanning_fraction), so grouping whole requests into \
+             region-disjoint shards would leave one shard; pinning tasks \
+             to their regions is what makes it shard at all.",
             "Every pinned arm (each shard count, on a 1-thread pool and on \
              the ambient pool) is asserted bit-identical to the pinned 1-shard reference — every \
              trace record and f64 metric — before anything is timed.",

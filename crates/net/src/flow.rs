@@ -42,10 +42,12 @@
 //! rate-change history: two engines that apply the same mutations to a
 //! flow's links compute bit-identical remaining bytes and completion
 //! times even if their clocks advance through different intermediate
-//! event timestamps. The region-sharded executor
+//! event timestamps. The pinned region-sharded executor
 //! (`continuum-runtime::simulate_stream_sharded`) leans on exactly that
-//! property, and on the monotone per-flow `seq` used to break
-//! completion-time ties identically in every engine instance.
+//! property — a region's flow domain sees the same mutations whichever
+//! shard owns it, while the timestamps its clock steps through depend on
+//! how regions were dealt — and on the monotone per-flow `seq` used to
+//! break completion-time ties identically in every engine instance.
 //!
 //! `next_completion` reads a min-heap of `(completion, seq, slot,
 //! generation)` entries. A flow that re-anchors is queued once, and

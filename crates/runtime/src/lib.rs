@@ -23,7 +23,7 @@ pub mod trace;
 pub use app::{AppBuilder, AppHandle, AppOutcome};
 pub use exec::{RealExecutor, RealTrace};
 pub use open_loop::{simulate_open_loop, simulate_open_loop_sharded, OpenLoopOpts, OpenLoopReport};
-pub use shard::{plan_shards, simulate_stream_sharded, ShardMode, ShardOpts, ShardPlan};
+pub use shard::{simulate_stream_sharded, ShardOpts};
 pub use simrun::{
     simulate, simulate_stream, simulate_stream_chaos, simulate_stream_with_faults, FaultPlane,
     FaultSpec, SimOutcome, StreamRequest,

@@ -27,7 +27,7 @@ use continuum_obs::{
     HealthPlane, HealthReport, HealthSpec, Histogram, MetricsRegistry, MetricsSnapshot, Telemetry,
 };
 use continuum_placement::Env;
-use continuum_sim::{ConservativeDriver, Lookahead, SimTime};
+use continuum_sim::{ConservativeDriver, SimTime};
 use std::collections::HashMap;
 
 /// Knobs for one open-loop run.
@@ -172,7 +172,6 @@ pub fn simulate_open_loop(
         Vec::new(),
         opts.faults,
         opts.plane,
-        None,
         collect,
         false,
     );
@@ -364,7 +363,7 @@ impl Gate {
 /// pumps barrier windows up to each arrival so the admission gate sees a
 /// live count identical for every shard count, and boundary transfers
 /// ride between shards as envelopes exactly as in
-/// [`crate::simulate_stream_sharded`]'s pinned mode.
+/// [`crate::simulate_stream_sharded`].
 ///
 /// SLO aggregates (latency distribution, goodput, rejections),
 /// conservation counters, and physics totals are bit-identical across
@@ -400,13 +399,7 @@ pub fn simulate_open_loop_sharded(
         c.core.enable_streaming();
     }
     let n = cores.len();
-    let la = if n == 1 {
-        // The lone shard owns every region: no envelopes, every window
-        // runs straight to its cap.
-        Lookahead::None
-    } else {
-        Lookahead::PerShard(pinned_lookaheads(env, partition, n))
-    };
+    let la = pinned_lookaheads(env, partition, n);
     let mut driver = ConservativeDriver::new(cores, la);
     let mut gate = Gate {
         health: opts.health.map(HealthPlane::new),

@@ -635,7 +635,7 @@ pub fn simulate_stream_chaos(
     let collect = tele.is_some();
     let refs: Vec<&StreamRequest> = requests.iter().collect();
     let gids: Vec<usize> = (0..requests.len()).collect();
-    let mut core = ExecCore::new(env, refs, gids, faults, plane, None, collect, trace_on);
+    let mut core = ExecCore::new(env, refs, gids, faults, plane, collect, trace_on);
     core.pump(None);
     assemble(env, requests, plane, None, vec![core.finish()])
 }
@@ -722,7 +722,7 @@ impl StreamSink {
 /// the global request index, ECMP salts and fault draws hash it, and
 /// telemetry marks name it. A core's decisions therefore do not depend on
 /// how requests were grouped into cores, which is the invariant the
-/// sharded-equals-single-queue property rests on.
+/// pinned N-shard == one-shard property rests on.
 pub(crate) struct ExecCore<'a> {
     env: &'a Env,
     requests: Vec<ReqEntry<'a>>,
@@ -730,9 +730,6 @@ pub(crate) struct ExecCore<'a> {
     gids: Vec<usize>,
     faults: Option<&'a FaultSpec>,
     plane: Option<&'a FaultPlane>,
-    /// Restrict orphan re-placement to these devices (`None`: whole
-    /// fleet). Sharding sets this so re-placed work stays in the shard.
-    mask: Option<Vec<bool>>,
     /// Harvest component counters at finish (an ambient sink exists).
     collect: bool,
     obs: ExecObs,
@@ -787,8 +784,6 @@ pub(crate) struct ExecCore<'a> {
     /// device order at assemble time so the total is independent of how
     /// crash events interleaved across cores.
     lost_dev: Vec<f64>,
-    /// Scratch for the masked-liveness vector fed to the placer.
-    alive_scratch: Vec<bool>,
     /// In-flight deliveries (slots in `SlotState::InFlight`) per local
     /// request. A request retires only once this hits zero, so no flow or
     /// stalled transfer can touch a freed slot.
@@ -821,8 +816,8 @@ pub(crate) struct ExecCore<'a> {
     /// `Some` switches the core to partitioned ("pinned-task") execution:
     /// tasks run where they were placed, each owned region gets its own
     /// flow domain, and transfers crossing into foreign regions leave
-    /// through the outbox. `None` preserves the confined executors bit
-    /// for bit.
+    /// through the outbox. `None` keeps one global flow network, as the
+    /// single-queue executors run.
     part: Option<PartCtx<'a>>,
 }
 
@@ -863,14 +858,12 @@ impl<'a> ExecCore<'a> {
     /// Build a core over `requests` (with their global ids `gids`),
     /// schedule every arrival and fault event, and leave it ready to
     /// [`Self::pump`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         env: &'a Env,
         requests: Vec<&'a StreamRequest>,
         gids: Vec<usize>,
         faults: Option<&'a FaultSpec>,
         plane: Option<&'a FaultPlane>,
-        mask: Option<Vec<bool>>,
         collect: bool,
         trace_on: bool,
     ) -> Self {
@@ -943,7 +936,6 @@ impl<'a> ExecCore<'a> {
             env,
             faults,
             plane,
-            mask,
             collect,
             obs: ExecObs {
                 trace_on,
@@ -979,7 +971,6 @@ impl<'a> ExecCore<'a> {
             energy: EnergyMeter::new(&env.fleet),
             cost: CostMeter::new(&env.fleet),
             lost_dev: vec![0.0; n_dev],
-            alive_scratch: Vec::new(),
             inflight: vec![0; requests.len()],
             pending_fin: vec![0; requests.len()],
             retired: vec![false; requests.len()],
@@ -1945,26 +1936,11 @@ impl<'a> ExecCore<'a> {
                 (src, now, item.bytes)
             })
             .collect();
-        // Re-placement candidates: alive, and inside the core's device
-        // mask when one is set (sharding keeps re-placed work local).
-        let alive: &[bool] = match &self.mask {
-            None => &self.dev_up,
-            Some(m) => {
-                self.alive_scratch.clear();
-                self.alive_scratch.extend(
-                    self.dev_up
-                        .iter()
-                        .zip(m.iter())
-                        .map(|(&up, &inm)| up && inm),
-                );
-                &self.alive_scratch
-            }
-        };
         let placer = self
             .placer
             .as_mut()
             .expect("re-placement implies a fault plane");
-        let Some((dev, _fin)) = placer.place_task(env, t, &input_view, now, alive) else {
+        let Some((dev, _fin)) = placer.place_task(env, t, &input_view, now, &self.dev_up) else {
             self.obs.park(now, gid, task);
             self.parked.push((req, task));
             return;
@@ -2525,10 +2501,9 @@ pub(crate) struct OpenCoreParts {
 
 /// Merge core parts into the final [`SimOutcome`].
 ///
-/// The single-queue executor is `assemble` over exactly one part, so the
-/// one-shard arm of the sharded executor is bit-identical to it *by
-/// construction* — both run the same core and the same finalization.
-/// Merging is exact because shards never share state: records concatenate
+/// The single-queue executor is `assemble` over exactly one part; the
+/// pinned sharded executor merges one part per shard. Merging is exact
+/// because shards never share state: records concatenate
 /// and canonicalize, u64 counters add, and the per-device f64 vectors
 /// (lost work, energy, cost) add elementwise where at most one operand is
 /// nonzero per index.
@@ -2568,7 +2543,7 @@ pub(crate) fn assemble(
         for (gid, fin) in p.request_finish {
             // Max-merge: under partitioned execution several cores run
             // disjoint pieces of one request, and the request finishes
-            // when its *last* piece does. Confined cores report each gid
+            // when its *last* piece does. A lone core reports each gid
             // exactly once, so the max is the plain assignment there.
             trace.request_finish[gid] = trace.request_finish[gid].max(fin);
         }

@@ -30,6 +30,6 @@ pub mod time;
 pub use events::{EventId, EventQueue, QueueStats};
 pub use fault::{FaultEvent, FaultKind, FaultProcess, FaultSchedule, FaultScheduleSpec};
 pub use rng::Rng;
-pub use shard::{ConservativeDriver, Envelope, Lookahead, ShardModel, WindowStats};
+pub use shard::{ConservativeDriver, Envelope, ShardModel, WindowStats};
 pub use stats::{jain_fairness, Histogram, OnlineStats, Percentiles, TimeWeighted};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

@@ -2,15 +2,16 @@
 //!
 //! Splits a simulation into shards, each owning its own event calendar
 //! and state, and advances them in bounded time windows: every shard may
-//! safely process all events strictly before `next + lookahead`, where
+//! safely process all events strictly before `next + lookahead[s]`, where
 //! `next` is the earliest pending event (or undelivered message) across
-//! the whole simulation and `lookahead` is the minimum latency of any
-//! cross-shard interaction. Messages a shard emits while processing a
-//! window are therefore always stamped at or after the window's horizon,
-//! so exchanging them at the barrier between windows can never deliver an
-//! event into a shard's past — the classic conservative (CMB-style)
-//! synchronization argument, with the barrier playing the role of the
-//! null messages.
+//! the whole simulation and `lookahead[s]` is the minimum latency of any
+//! interaction entering shard `s` (`None` when nothing can enter it, in
+//! which case the shard runs unbounded). Messages a shard emits while
+//! processing a window are therefore always stamped at or after the
+//! receiving shard's horizon, so exchanging them at the barrier between
+//! windows can never deliver an event into a shard's past — the classic
+//! conservative (CMB-style) synchronization argument, with the barrier
+//! playing the role of the null messages.
 //!
 //! Determinism: within a window each shard runs single-threaded over its
 //! own calendar, and the inter-window exchange sorts envelopes by
@@ -72,38 +73,10 @@ pub struct WindowStats {
     pub per_shard_messages: Vec<u64>,
 }
 
-/// How far past the global minimum each shard may safely run.
-#[derive(Debug, Clone)]
-pub enum Lookahead {
-    /// Shards never exchange messages: each runs to its cap (or to
-    /// completion) in a single window. Emitting an envelope under this
-    /// policy panics — nothing could deliver it safely.
-    None,
-    /// Per-shard incoming latency (see
-    /// `RegionPartition::incoming_lookahead` in `continuum-net`): shard
-    /// `s` runs to `next + per_shard[s]`. Safe because an envelope
-    /// emitted at `t >= next` toward shard `s` crosses a boundary link
-    /// into `s` and is stamped at least that link's latency later, which
-    /// is at least `per_shard[s]`.
-    PerShard(Vec<SimDuration>),
-}
-
-impl Lookahead {
-    fn horizon(&self, shard: usize, next: SimTime, cap: Option<SimTime>) -> Option<SimTime> {
-        let h = match self {
-            Lookahead::None => None,
-            Lookahead::PerShard(per) => Some(next + per[shard]),
-        };
-        match (h, cap) {
-            (Some(h), Some(c)) => Some(h.min(c)),
-            (h, None) => h,
-            (None, c) => c,
-        }
-    }
-
-    fn exchanges_messages(&self) -> bool {
-        !matches!(self, Lookahead::None)
-    }
+/// Window horizon of a shard with incoming lookahead `la`: `next + la`,
+/// clipped to `cap`; a shard nothing can enter (`None`) runs to `cap`.
+fn horizon(la: Option<SimDuration>, next: SimTime, cap: Option<SimTime>) -> Option<SimTime> {
+    min_opt(la.map(|d| next + d), cap)
 }
 
 /// A resumable conservative shard executor.
@@ -116,13 +89,24 @@ impl Lookahead {
 pub struct ConservativeDriver<S: ShardModel> {
     shards: Vec<S>,
     pending: Vec<Envelope<S::Msg>>,
-    lookahead: Lookahead,
+    lookahead: Vec<Option<SimDuration>>,
     stats: WindowStats,
 }
 
 impl<S: ShardModel> ConservativeDriver<S> {
-    /// Wrap `shards` for conservative execution under `lookahead`.
-    pub fn new(shards: Vec<S>, lookahead: Lookahead) -> Self {
+    /// Wrap `shards` for conservative execution. `lookahead[s]` is shard
+    /// `s`'s incoming latency (see `RegionPartition::incoming_lookahead`
+    /// in `continuum-net`): shard `s` runs to `next + lookahead[s]`. That
+    /// is safe because an envelope emitted at `t >= next` toward `s`
+    /// crosses a boundary link into `s` and is stamped at least that
+    /// link's latency later. `None` means no envelope can ever reach `s`,
+    /// so it runs to its cap (or to completion) in each window; an
+    /// envelope addressed to such a shard panics.
+    ///
+    /// # Panics
+    /// If `lookahead` does not have one entry per shard.
+    pub fn new(shards: Vec<S>, lookahead: Vec<Option<SimDuration>>) -> Self {
+        assert_eq!(lookahead.len(), shards.len(), "one lookahead per shard");
         let stats = WindowStats {
             per_shard_messages: vec![0; shards.len()],
             ..WindowStats::default()
@@ -174,7 +158,7 @@ impl<S: ShardModel> ConservativeDriver<S> {
         let mut keep: Vec<Envelope<S::Msg>> = Vec::new();
         let mut deliver: Vec<Envelope<S::Msg>> = Vec::new();
         for e in std::mem::take(&mut self.pending) {
-            let h = self.lookahead.horizon(e.to as usize, next, cap);
+            let h = horizon(self.lookahead[e.to as usize], next, cap);
             if h.is_none_or(|h| e.at < h) {
                 deliver.push(e);
             } else {
@@ -186,7 +170,6 @@ impl<S: ShardModel> ConservativeDriver<S> {
         self.stats.messages += deliver.len() as u64;
         for e in deliver {
             let to = e.to as usize;
-            assert!(to < inboxes.len(), "envelope addressed to unknown shard");
             self.stats.per_shard_messages[to] += 1;
             inboxes[to].push(e);
         }
@@ -204,15 +187,19 @@ impl<S: ShardModel> ConservativeDriver<S> {
         let advanced: Vec<(S, Vec<Envelope<S::Msg>>)> = work
             .into_par_iter()
             .map(|(i, mut s, inbox)| {
-                let out = s.advance(lookahead.horizon(i, next, cap), inbox);
+                let out = s.advance(horizon(lookahead[i], next, cap), inbox);
                 (s, out)
             })
             .collect();
         for (s, out) in advanced {
-            assert!(
-                self.lookahead.exchanges_messages() || out.is_empty(),
-                "shards that exchange messages need a lookahead"
-            );
+            for e in &out {
+                let la = self.lookahead.get(e.to as usize);
+                assert!(la.is_some(), "envelope addressed to unknown shard");
+                assert!(
+                    la.is_some_and(Option::is_some),
+                    "shards that receive envelopes need a lookahead"
+                );
+            }
             self.pending.extend(out);
             self.shards.push(s);
         }
@@ -319,7 +306,10 @@ mod tests {
     }
 
     /// Drive `shards` to completion under `lookahead`.
-    fn run<S: ShardModel>(shards: Vec<S>, lookahead: Lookahead) -> (Vec<S>, WindowStats) {
+    fn run<S: ShardModel>(
+        shards: Vec<S>,
+        lookahead: Vec<Option<SimDuration>>,
+    ) -> (Vec<S>, WindowStats) {
         let mut driver = ConservativeDriver::new(shards, lookahead);
         driver.run();
         driver.into_parts()
@@ -335,7 +325,7 @@ mod tests {
             .num_threads(threads)
             .build()
             .expect("rayon pool");
-        pool.install(|| run(vec![a, b], Lookahead::PerShard(vec![delay; 2])))
+        pool.install(|| run(vec![a, b], vec![Some(delay); 2]))
     }
 
     #[test]
@@ -372,7 +362,7 @@ mod tests {
         let mut b = Pinger::new(1, 0, delay, 0);
         a.queue.schedule_at(SimTime::from_secs(1), 0);
         b.queue.schedule_at(SimTime::from_secs(2), 0);
-        let (shards, stats) = run(vec![a, b], Lookahead::None);
+        let (shards, stats) = run(vec![a, b], vec![None; 2]);
         assert_eq!(stats.windows, 1);
         assert_eq!(stats.messages, 0);
         assert_eq!(shards[0].log, vec![(SimTime::from_secs(1), 0)]);
@@ -382,11 +372,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "need a lookahead")]
     fn messaging_without_lookahead_is_rejected() {
+        // Shard 0 may be entered (it has a lookahead); shard 1 claims
+        // nothing can enter it, so shard 0's first volley must panic.
         let delay = SimDuration::from_millis(1);
         let mut a = Pinger::new(0, 1, delay, 8);
         let b = Pinger::new(1, 0, delay, 8);
         a.queue.schedule_at(SimTime::ZERO, 0);
-        run(vec![a, b], Lookahead::None);
+        run(vec![a, b], vec![Some(delay), None]);
     }
 
     #[test]
@@ -492,7 +484,7 @@ mod tests {
                 payload: 222,
             }),
         ];
-        let la = Lookahead::PerShard(vec![SimDuration::from_millis(100); 3]);
+        let la = vec![Some(SimDuration::from_millis(100)); 3];
         let (shards, stats) = run(shards, la);
         let Either::Sink(sink) = &shards[0] else {
             panic!("shard 0 is the sink");

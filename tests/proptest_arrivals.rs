@@ -4,8 +4,9 @@
 //! functions of their seed (same seed, same stream, bit for bit), the
 //! homogeneous Poisson process actually delivers its nominal rate, and
 //! workloads drawn from the open-loop generators execute identically on
-//! the sharded kernel and the single-queue kernel — arrivals are just
-//! another workload, so PR-6's bit-identity contract must survive them.
+//! the pinned sharded kernel at N shards and at one shard — arrivals are
+//! just another workload, so the sharded kernel's bit-identity contract
+//! must survive them.
 //!
 //! The case count defaults low so PR builds stay fast; scheduled CI sets
 //! `CONTINUUM_ARRIVAL_CASES` to push the same properties much harder.
@@ -121,14 +122,14 @@ proptest! {
         );
     }
 
-    /// Open-loop workloads are ordinary workloads to the kernels: a
+    /// Open-loop workloads are ordinary workloads to the sharded kernel: a
     /// stream drawn from the generators, placed online, runs
-    /// bit-identically on the sharded and single-queue executors.
+    /// bit-identically on N pinned shards and on one.
     #[test]
     fn open_loop_workload_shards_identically(
         seed in any::<u64>(),
         which in any::<u8>(),
-        max_shards in 1usize..5,
+        max_shards in 2usize..6,
         threads in 1usize..4,
     ) {
         let (world, spec) = world();
@@ -148,12 +149,13 @@ proptest! {
             .collect();
         let partition =
             RegionPartition::new(world.topology(), continuum_regions(&spec), 0);
-        let single = simulate_stream_chaos(world.env(), &requests, None, None);
-        let opts = ShardOpts { max_shards, ..ShardOpts::default() };
+        let one = simulate_stream_sharded(
+            world.env(), &requests, None, &partition, &ShardOpts::pinned(1),
+        );
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let sharded = pool.install(|| simulate_stream_sharded(
-            world.env(), &requests, None, None, &partition, &opts,
+            world.env(), &requests, None, &partition, &ShardOpts::pinned(max_shards),
         ));
-        prop_assert_eq!(&sharded, &single);
+        prop_assert_eq!(&sharded, &one);
     }
 }

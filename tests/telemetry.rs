@@ -363,7 +363,6 @@ fn flow_events_stitch_cross_shard_and_cross_site_hops() {
             world.env(),
             &reqs,
             None,
-            None,
             &partition,
             &ShardOpts::pinned(2),
         ));
