@@ -1,9 +1,9 @@
 //! The placement environment: topology + routes + fleet, bundled.
 
-use continuum_model::{DeviceId, Fleet};
+use continuum_model::{DeviceId, DeviceSpec, Fleet};
 use continuum_net::{NodeId, Path, RouteTable, Topology, TransferMatrix};
 use continuum_sim::{SimDuration, SimTime};
-use continuum_workflow::Task;
+use continuum_workflow::{Constraints, Task};
 use std::sync::Arc;
 
 /// Everything a placement policy may consult: the network, precomputed
@@ -93,29 +93,12 @@ impl Env {
             .fleet
             .devices()
             .iter()
-            .filter(|d| {
-                if let Some(pin) = c.pinned_node {
-                    if d.node != pin {
-                        return false;
-                    }
-                }
-                if let Some((lo, hi)) = c.tier_range {
-                    if d.spec.tier < lo || d.spec.tier > hi {
-                        return false;
-                    }
-                }
-                d.spec.mem_bytes >= c.min_mem_bytes
-            })
+            .filter(|d| c.pinned_node.is_none_or(|pin| d.node == pin) && admits(c, &d.spec))
             .map(|d| d.id)
             .collect();
-        assert!(
-            !out.is_empty(),
-            "task '{}' has no feasible device (pin={:?}, tiers={:?}, mem>={})",
-            task.name,
-            c.pinned_node,
-            c.tier_range,
-            c.min_mem_bytes
-        );
+        if out.is_empty() {
+            no_feasible_device(task);
+        }
         out
     }
 
@@ -139,6 +122,23 @@ impl Env {
         }
         links.iter().map(|l| l.bandwidth_bps).sum::<f64>() / links.len() as f64
     }
+}
+
+/// Whether a device with `spec` meets `c`'s tier range and memory floor
+/// (pinning is a property of the device's node, not its spec).
+pub(crate) fn admits(c: &Constraints, spec: &DeviceSpec) -> bool {
+    c.tier_range
+        .is_none_or(|(lo, hi)| spec.tier >= lo && spec.tier <= hi)
+        && spec.mem_bytes >= c.min_mem_bytes
+}
+
+/// The panic every placement path raises for a task no device can host.
+pub(crate) fn no_feasible_device(task: &Task) -> ! {
+    let c = &task.constraints;
+    panic!(
+        "task '{}' has no feasible device (pin={:?}, tiers={:?}, mem>={})",
+        task.name, c.pinned_node, c.tier_range, c.min_mem_bytes
+    )
 }
 
 #[cfg(test)]
