@@ -16,7 +16,7 @@
 
 use continuum_core::prelude::*;
 use continuum_model::standard_fleet;
-use continuum_net::{fat_tree, ContinuumSpec, FlowNetwork, LinkSpec, RouteTable};
+use continuum_net::{fat_tree, ContinuumSpec, FlowEngineStats, FlowNetwork, LinkSpec, RouteTable};
 use continuum_sim::{Rng, SimDuration, SimTime};
 use serde_json::json;
 use std::time::Instant;
@@ -211,7 +211,7 @@ fn bench_flow_churn() -> serde_json::Value {
     // Identical start/remove sequence through both engines. The rate
     // probe at the end of each pass both defeats dead-code elimination
     // and cross-checks that the engines agree.
-    let run_incremental = || -> (f64, f64) {
+    let run_incremental = || -> (f64, f64, FlowEngineStats) {
         let mut net = FlowNetwork::new(&topo);
         let mut live = std::collections::VecDeque::with_capacity(CAP + 1);
         let mut probe = 0.0;
@@ -230,7 +230,7 @@ fn bench_flow_churn() -> serde_json::Value {
             probe += net.rate(id).expect("live flow");
             net.remove(SimTime::ZERO, id);
         }
-        (ms(t0), probe)
+        (ms(t0), probe, net.engine_stats())
     };
     let run_seed = || -> (f64, f64) {
         let mut net = seed_flow::FlowNetwork::new(&topo);
@@ -254,7 +254,7 @@ fn bench_flow_churn() -> serde_json::Value {
         (ms(t0), probe)
     };
 
-    let (incremental_ms, got) = run_incremental();
+    let (incremental_ms, got, stats) = run_incremental();
     let (seed_ms, want) = run_seed();
     assert!(
         (got - want).abs() <= 1e-6 * want.abs(),
@@ -268,6 +268,9 @@ fn bench_flow_churn() -> serde_json::Value {
         "seed_ms": seed_ms,
         "incremental_ms": incremental_ms,
         "speedup": seed_ms / incremental_ms,
+        "recomputes": stats.recomputes,
+        "recomputed_flows_per_pass": stats.recomputed_flows as f64 / stats.recomputes as f64,
+        "rate_changes": stats.rate_changes,
     })
 }
 

@@ -17,21 +17,42 @@
 //!
 //! Rate recomputation is deferred and local. `start`, `remove`,
 //! `fail_link` and `restore_link` only update the flow and link indices
-//! and push the links they touched onto a dirty list; the next
+//! and note what they touched: a started flow, or the dirty links (every
+//! *binding* link of a removed flow, a restored link). The next
 //! observation (`rate`, `next_completion`, `advance`, `link_loads`)
-//! searches the flow–link graph from those links and runs one
-//! progressive-filling pass over the connected component it reaches, so
-//! a burst of mutations at one event timestamp costs a single pass and
-//! flows that share no link (transitively) with a mutation are never
-//! touched. Max-min rates decompose exactly over components, and each
-//! link sees the same subtractions in the same order as in a pass over
-//! every flow, so the result is bit-identical to a full recompute. A
-//! pass saturates the most-constrained links first and costs
-//! `O(waves × component links + sum of component path lengths)`,
-//! independent of the total link and flow counts. The seed's
-//! from-scratch algorithm, which scanned and reallocated every link on
-//! every mutation, is retained verbatim as [`FlowNetwork::oracle_rates`]
-//! and cross-checked against the engine by property tests.
+//! searches the flow–link graph from them and runs one progressive-filling
+//! pass over the component it reaches, so a burst of mutations at one
+//! event timestamp costs a single pass.
+//!
+//! The search leaves slack links out. A link is *binding* when it carries
+//! flows whose rates sum to at least `capacity × (1 − δ)`, δ = 1e-9, and
+//! *slack* otherwise; from a flow, the search crosses only into binding
+//! links. That is exact, not an approximation: if a link ends the pass
+//! with its flows' final rates summing below capacity, then at every wave
+//! `k` its share is `(capacity − Σ frozen)/u > (Σ unfrozen final
+//! rates)/u ≥ m_k`, the wave's minimum — so it never ties, never freezes
+//! a flow, and never changes another link's subtractions. δ sits far
+//! above float rounding, so computed shares keep that strict order.
+//! Leaving such links out only splits components, and max-min rates
+//! decompose exactly over components: each link sees the same
+//! subtractions in the same order as in a pass over every flow, so the
+//! result is bit-identical to a full recompute. A removal dirties only
+//! binding links, since it only lowers a slack link's load.
+//!
+//! A pass may raise rates until a link it left out binds. So the fill
+//! projects the load of each slack link that a rising flow crosses (a
+//! per-link upper bound with a rigorous rounding-error bound, see
+//! `LinkLoad`), and re-checks those links and every link of a started
+//! flow; a link the bound cannot prove slack is summed afresh from its
+//! flows. If any binds, it is marked binding, the pass is undone (rates,
+//! bytes and anchors restored) and rerun with it in the search. A settled
+//! pass re-classifies its own links from the loads it just summed. The
+//! cost is `O(waves × component links + sum of component path lengths)`
+//! plus `O(links of the flows whose rate rose)`, independent of the total
+//! link and flow counts. The seed's from-scratch algorithm, which scanned
+//! and reallocated every link on every mutation, is retained verbatim as
+//! [`FlowNetwork::oracle_rates`] and cross-checked against the engine by
+//! property tests.
 //!
 //! Byte draining is *lazy*: each flow carries an anchor `(time,
 //! remaining, rate)` triple and is re-anchored only when a recompute
@@ -157,10 +178,53 @@ pub struct AbortedFlow {
 struct LinkFill {
     /// Remaining capacity during filling (bytes/s).
     residual: f64,
+    /// For a link in the pass, the sum of the rates frozen on it so far;
+    /// for a slack link re-checked after it, its load projected to the
+    /// pass's rates.
+    load: LinkLoad,
     /// Active flows crossing the link not yet frozen.
     unfrozen: u32,
     /// Epoch in which the component search reached the link.
     epoch: u32,
+}
+
+/// An upper bound on a link's load, the sum of its flows' rates, kept as
+/// they change: a rise or a removal shifts `sum`, and a fall outside a
+/// pass may be skipped. `slop` bounds the rounding error of those shifts:
+/// each widens it by the most its two roundings can lose, so the real
+/// sum never exceeds `sum + slop`, however long the link goes without
+/// being summed afresh.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkLoad {
+    sum: f64,
+    slop: f64,
+}
+
+impl LinkLoad {
+    /// `terms` non-negative rates summed afresh to `sum`.
+    fn summed(sum: f64, terms: usize) -> LinkLoad {
+        LinkLoad {
+            sum,
+            slop: f64::EPSILON * terms as f64 * sum,
+        }
+    }
+
+    /// One flow's rate moves from `old` to `new` (both ≥ 0).
+    fn shift(&mut self, old: f64, new: f64) {
+        self.slop += f64::EPSILON * (self.sum.abs() + old + new);
+        self.sum += new - old;
+    }
+
+    /// Whether the load is slack for certain: below `capacity × (1 −
+    /// BINDING_MARGIN)` even at the top of its error bound.
+    fn surely_slack(&self, capacity: f64) -> bool {
+        self.sum + self.slop < capacity * (1.0 - BINDING_MARGIN)
+    }
+
+    /// Whether `sum`, summed afresh, makes the link binding.
+    fn binds(sum: f64, capacity: f64) -> bool {
+        sum >= capacity * (1.0 - BINDING_MARGIN)
+    }
 }
 
 /// Reusable buffers for `recompute_rates`. Per-link state is (re)seeded
@@ -170,18 +234,49 @@ struct LinkFill {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Advances by two per pass: a flow stamped `epoch - 1` was reached
-    /// by this pass's search, one stamped `epoch` is already frozen.
+    /// by this pass's search, one stamped `epoch` is already frozen. A
+    /// link stamped `epoch` is in the pass, one stamped `epoch - 1` was
+    /// re-checked after it.
     epoch: u32,
     /// Per link: filling state (valid only for links seeded this call).
     fill: Vec<LinkFill>,
     /// Per slot: epoch in which the flow was reached or frozen.
     flow_epoch: Vec<u32>,
-    /// The component's links: the search queue, then the wave working
-    /// set, compacted as links run out of unfrozen flows.
+    /// The pass's links in search order.
+    links: Vec<u32>,
+    /// The wave working set: the pass's links, compacted as they run out
+    /// of unfrozen flows.
     work: Vec<u32>,
     /// Links tied at the current wave's minimum share (wave-local).
     tied: Vec<u32>,
+    /// Flows whose rate the pass changed, with the `(rate, remaining,
+    /// anchor)` they had before it, so a rerun can undo them.
+    changed: Vec<(u32, f64, f64, SimTime)>,
+    /// Slack links outside the pass whose load it projects (stamped
+    /// `epoch - 1`).
+    checked: Vec<u32>,
 }
+
+impl Scratch {
+    /// Open a pass and return its epoch.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch > u32::MAX - 2 {
+            // The stamps would repeat: clear them and count afresh.
+            self.epoch = 0;
+            self.flow_epoch.fill(0);
+            self.fill.iter_mut().for_each(|f| f.epoch = 0);
+        }
+        self.epoch += 2;
+        self.epoch
+    }
+}
+
+/// A link is *binding* when it carries flows and their rates sum to at
+/// least `capacity × (1 − BINDING_MARGIN)`, and *slack* otherwise. The
+/// margin sits far above float rounding (summing or filling `n` rates on
+/// a link is off by at most about `n × 1.1e-16 × capacity`), so a link
+/// classed slack is slack by a margin no rounding can close.
+const BINDING_MARGIN: f64 = 1e-9;
 
 /// Concurrent flows sharing link capacity max-min fairly.
 ///
@@ -229,12 +324,22 @@ pub struct FlowNetwork {
     slot_pos: Vec<u32>,
     /// Per link: slot indices of the active flows crossing it.
     link_flows: Vec<Vec<u32>>,
-    /// Links whose `link_flows` list is non-empty.
-    busy_links: u32,
-    /// Links touched by mutations since rates were last settled; the
-    /// next observation re-rates the component they reach, so mutations
-    /// at one event timestamp coalesce into a single filling pass.
+    /// Per link: binding (`true`) or slack as of the last pass that
+    /// covered it. A link marked slack carries no flows or is slack under
+    /// the current rates; one marked binding may have gone slack since,
+    /// which only widens the next search.
+    binding: Vec<bool>,
+    /// Links marked binding.
+    binding_links: u32,
+    /// Per link: its load under the settled rates, or an upper bound on
+    /// it (see `promote_slack_links`).
+    load: Vec<LinkLoad>,
+    /// Links touched by mutations since rates were last settled; with
+    /// `started` they seed the next observation's pass, so mutations at
+    /// one event timestamp coalesce into a single filling pass.
     dirty_links: Vec<u32>,
+    /// Slots of the flows started since rates were last settled.
+    started: Vec<u32>,
     /// Min-heap of `(completion, seq, slot, generation)`, lazily
     /// invalidated (see the module docs).
     completions: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
@@ -249,6 +354,8 @@ pub struct FlowNetwork {
     /// Sum of the component sizes those passes re-rated (telemetry):
     /// `recomputed_flows / recomputes` is the mean batch a pass re-rates.
     recomputed_flows: u64,
+    /// Re-ratings that changed a flow's rate bitwise (telemetry).
+    rate_changes: u64,
 }
 
 /// Lifetime counters of one or more [`FlowNetwork`]s, harvested by the
@@ -256,11 +363,24 @@ pub struct FlowNetwork {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowEngineStats {
     /// Progressive-filling passes actually run (observations that found
-    /// dirty links).
+    /// dirty links or started flows).
     pub recomputes: u64,
     /// Sum over those passes of the flows in the component each re-rated
-    /// — not the engine's active-flow count.
+    /// — not the engine's active-flow count. A pass that reruns counts
+    /// its flows once per run.
     pub recomputed_flows: u64,
+    /// Re-ratings that changed a flow's rate bitwise: the yield of those
+    /// passes.
+    pub rate_changes: u64,
+}
+
+impl std::ops::AddAssign for FlowEngineStats {
+    /// Merge another engine's counters (they add).
+    fn add_assign(&mut self, other: FlowEngineStats) {
+        self.recomputes += other.recomputes;
+        self.recomputed_flows += other.recomputed_flows;
+        self.rate_changes += other.rate_changes;
+    }
 }
 
 impl FlowEngineStats {
@@ -272,6 +392,7 @@ impl FlowEngineStats {
     pub fn publish_metrics(&self, reg: &continuum_obs::MetricsRegistry, prefix: &str) {
         reg.record(&format!("{prefix}.recomputes"), self.recomputes);
         reg.record(&format!("{prefix}.recomputed_flows"), self.recomputed_flows);
+        reg.record(&format!("{prefix}.rate_changes"), self.rate_changes);
     }
 
     /// Set `{prefix}.mean_batch` in a merged snapshot from the counters
@@ -303,8 +424,11 @@ impl FlowNetwork {
             active_slots: Vec::new(),
             slot_pos: Vec::new(),
             link_flows: vec![Vec::new(); links],
-            busy_links: 0,
+            binding: vec![false; links],
+            binding_links: 0,
+            load: vec![LinkLoad::default(); links],
             dirty_links: Vec::new(),
+            started: Vec::new(),
             completions: BinaryHeap::new(),
             reanchored: Vec::new(),
             scratch: Scratch {
@@ -315,6 +439,7 @@ impl FlowNetwork {
             clock: SimTime::ZERO,
             recomputes: 0,
             recomputed_flows: 0,
+            rate_changes: 0,
         }
     }
 
@@ -324,6 +449,7 @@ impl FlowNetwork {
         FlowEngineStats {
             recomputes: self.recomputes,
             recomputed_flows: self.recomputed_flows,
+            rate_changes: self.rate_changes,
         }
     }
 
@@ -380,7 +506,6 @@ impl FlowNetwork {
         f.link_pos.clear();
         for i in 0..self.slots[slot as usize].links.len() {
             let l = self.slots[slot as usize].links[i].0 as usize;
-            self.busy_links += u32::from(self.link_flows[l].is_empty());
             self.slots[slot as usize]
                 .link_pos
                 .push(self.link_flows[l].len() as u32);
@@ -388,9 +513,9 @@ impl FlowNetwork {
         }
         self.slot_pos[slot as usize] = self.active_slots.len() as u32;
         self.active_slots.push(slot);
-        // The new flow joins its links into one component; any of them
-        // reaches all of it.
-        self.dirty_links.push(path.links[0].0);
+        // The new flow seeds the next pass itself, not through a link:
+        // only its binding links join the search.
+        self.started.push(slot);
         Some(FlowId::new(slot, self.slots[slot as usize].generation))
     }
 
@@ -412,7 +537,9 @@ impl FlowNetwork {
         }
         // Unhook from every link's flow index.
         let links = std::mem::replace(&mut self.slots[slot].links, Vec::new().into());
-        // Every link is dirty: removing the flow may split its component.
+        // Every binding link is dirty: removing the flow may split its
+        // component and raise its neighbours' rates. A slack link is not:
+        // the removal only lowers its load.
         for (i, &l) in links.iter().enumerate() {
             let pos = self.slots[slot].link_pos[i] as usize;
             let list = &mut self.link_flows[l.0 as usize];
@@ -426,8 +553,15 @@ impl FlowNetwork {
                     .expect("moved flow crosses this link");
                 self.slots[moved].link_pos[j] = pos as u32;
             }
-            self.busy_links -= u32::from(list.is_empty());
-            self.dirty_links.push(l.0);
+            let li = l.0 as usize;
+            if list.is_empty() {
+                self.load[li] = LinkLoad::default();
+            } else {
+                self.load[li].shift(self.slots[slot].rate, 0.0);
+            }
+            if self.binding[li] {
+                self.dirty_links.push(l.0);
+            }
         }
         // Unhook from the active list.
         let pos = self.slot_pos[slot] as usize;
@@ -480,8 +614,10 @@ impl FlowNetwork {
         // that saw the same flows start (ids depend on slot-reuse history).
         by_seq.sort_unstable_by_key(|&(seq, _)| seq);
         let aborted: Vec<AbortedFlow> = by_seq.into_iter().map(|(_, a)| a).collect();
-        // Removing the aborted flows dirties the link; with no flows left
-        // on it, its capacity reaches no rate until a `start` dirties it.
+        // Removing the aborted flows dirties their binding links; with no
+        // flows left on it, the dead link reaches no rate until a new flow
+        // crosses it, and the re-check of that flow's links marks it
+        // binding (load 0 of capacity 0).
         for a in &aborted {
             self.remove(now, a.id);
         }
@@ -595,73 +731,155 @@ impl FlowNetwork {
     /// Run the deferred recomputation if any mutation happened since the
     /// rates were last brought up to date.
     fn ensure_rates(&mut self) {
-        if !self.dirty_links.is_empty() {
+        if !self.dirty_links.is_empty() || !self.started.is_empty() {
             self.recompute_rates();
         }
     }
 
-    /// Progressive filling over the component of the flow–link graph the
-    /// dirty links reach: repeatedly saturate its most constrained link
-    /// and freeze the unfrozen flows crossing it at its fair share.
+    /// Re-rate the flows the pending mutations can affect: search from
+    /// them across binding links, fill the component found, then re-check
+    /// the slack links whose load a re-rated flow raised. If one of those
+    /// now binds, undo the pass and rerun it with that link in the search.
     fn recompute_rates(&mut self) {
+        self.recomputes += 1;
+        let epoch = loop {
+            let epoch = self.scratch.next_epoch();
+            let flows = self.search(epoch);
+            self.recomputed_flows += flows as u64;
+            self.fill(epoch, flows);
+            if !self.promote_slack_links(epoch) {
+                break epoch;
+            }
+            // Undo the pass; the rerun keeps its links and adds the
+            // promoted ones through the search.
+            for &(s, rate, remaining, anchor) in &self.scratch.changed {
+                let f = &mut self.slots[s as usize];
+                (f.rate, f.remaining, f.anchor) = (rate, remaining, anchor);
+            }
+            self.dirty_links.extend_from_slice(&self.scratch.links);
+        };
+        // Settled. Every flow crossing a link of the pass froze on it, so
+        // the fill summed each such link's load afresh: re-classify them.
+        // The re-checked links keep their projected loads.
+        let sc = &self.scratch;
+        for &l in &sc.links {
+            let l = l as usize;
+            debug_assert_eq!(sc.fill[l].epoch, epoch);
+            let (sum, terms) = (sc.fill[l].load.sum, self.link_flows[l].len());
+            self.load[l] = LinkLoad::summed(sum, terms);
+            let binding = terms > 0 && LinkLoad::binds(sum, self.capacity[l]);
+            self.binding_links += u32::from(binding);
+            self.binding_links -= u32::from(self.binding[l]);
+            self.binding[l] = binding;
+        }
+        for &l in &sc.checked {
+            self.load[l as usize] = sc.fill[l as usize].load;
+        }
+        self.rate_changes += sc.changed.len() as u64;
+        self.dirty_links.clear();
+        self.started.clear();
+    }
+
+    /// Breadth-first search of the flow–link graph from the dirty links
+    /// and the started flows, crossing from a flow only into its binding
+    /// links, into `scratch.links`. A started flow also enters through
+    /// its slack link with the least headroom, the one its new rate is
+    /// likeliest to make bind, so every flow the search reaches crosses a
+    /// link of the pass. Returns the flows reached.
+    fn search(&mut self, epoch: u32) -> usize {
+        let reached = epoch - 1;
+        let sc = &mut self.scratch;
+        let (slots, link_flows, binding) = (&self.slots, &self.link_flows, &self.binding);
+        let headroom = |l: u32| {
+            let (load, capacity) = (self.load[l as usize], self.capacity[l as usize]);
+            capacity - load.sum - load.slop
+        };
+        // Queue a link unless the pass already holds it; returns 1 if that
+        // queued a binding link.
+        let enter = |sc: &mut Scratch, l: u32| {
+            let stamp = &mut sc.fill[l as usize].epoch;
+            if *stamp == epoch {
+                return 0;
+            }
+            *stamp = epoch;
+            sc.links.push(l);
+            u32::from(binding[l as usize])
+        };
+        sc.links.clear();
+        let mut found = 0; // binding links queued
+        for &l in &self.dirty_links {
+            found += enter(sc, l);
+        }
+        let mut flows = 0;
+        let mut visit = |sc: &mut Scratch, s: u32, seed: bool, found: &mut u32| {
+            if sc.flow_epoch[s as usize] == reached {
+                return;
+            }
+            sc.flow_epoch[s as usize] = reached;
+            flows += 1;
+            let links = &slots[s as usize].links;
+            for &l in links.iter().filter(|l| binding[l.0 as usize]) {
+                *found += enter(sc, l.0);
+            }
+            if seed {
+                let tightest = links
+                    .iter()
+                    .filter(|l| !binding[l.0 as usize])
+                    .min_by(|a, b| headroom(a.0).total_cmp(&headroom(b.0)));
+                if let Some(l) = tightest {
+                    enter(sc, l.0);
+                }
+            }
+        };
+        for &s in &self.started {
+            // A flow removed before this pass left an empty link list.
+            if !slots[s as usize].links.is_empty() {
+                visit(sc, s, true, &mut found);
+            }
+        }
+        // Every settled flow crosses a binding link: the link it froze on
+        // is saturated when its pass settles, and stays marked binding
+        // until a pass covers it again. So once the search has queued
+        // every binding link, the pass covers every flow and can stop.
+        let mut head = 0;
+        while head < sc.links.len() && found < self.binding_links {
+            let li = sc.links[head] as usize;
+            head += 1;
+            for &s in &link_flows[li] {
+                visit(sc, s, false, &mut found);
+            }
+        }
+        if found == self.binding_links {
+            self.active_slots.len()
+        } else {
+            flows
+        }
+    }
+
+    /// Progressive filling over the pass's links: repeatedly saturate the
+    /// most constrained one and freeze the unfrozen flows crossing it at
+    /// its fair share. `flows` is the number of flows those links carry.
+    /// A flow whose rate rises also raises the projected load of each
+    /// slack link it crosses outside the pass (see `promote_slack_links`).
+    fn fill(&mut self, epoch: u32, mut flows: usize) {
         // Mutations are applied at the current clock (advance() settles
         // rates before moving it), so flows whose rate changes re-anchor
         // here, at the instant the change takes effect.
         let now = self.clock;
+        let checked = epoch - 1;
         let sc = &mut self.scratch;
-        if sc.epoch > u32::MAX - 2 {
-            // The stamps would repeat: clear them and count afresh.
-            sc.epoch = 0;
-            sc.flow_epoch.fill(0);
-            sc.fill.iter_mut().for_each(|f| f.epoch = 0);
-        }
-        sc.epoch += 2;
-        let (reached, epoch) = (sc.epoch - 1, sc.epoch);
-        // Breadth-first search of the flow–link graph from the dirty
-        // links. Once it has queued every link that carries flows, the
-        // component is the whole network and the search can stop.
+        sc.changed.clear();
+        sc.checked.clear();
+        // Seed the links: full capacity, every crossing flow unfrozen.
         sc.work.clear();
-        let mut found = 0; // queued links that carry flows
-        for l in self.dirty_links.drain(..) {
-            if sc.fill[l as usize].epoch != epoch {
-                sc.fill[l as usize].epoch = epoch;
-                sc.work.push(l);
-                found += u32::from(!self.link_flows[l as usize].is_empty());
-            }
-        }
-        let mut remaining_flows = 0;
-        let mut head = 0;
-        while head < sc.work.len() && found < self.busy_links {
-            let li = sc.work[head] as usize;
-            head += 1;
-            for &s in &self.link_flows[li] {
-                if sc.flow_epoch[s as usize] == reached {
-                    continue;
-                }
-                sc.flow_epoch[s as usize] = reached;
-                remaining_flows += 1;
-                for &l in self.slots[s as usize].links.iter() {
-                    if sc.fill[l.0 as usize].epoch != epoch {
-                        sc.fill[l.0 as usize].epoch = epoch;
-                        sc.work.push(l.0);
-                        found += 1;
-                    }
-                }
-            }
-        }
-        if found == self.busy_links {
-            remaining_flows = self.active_slots.len();
-        }
-        // Seed the component's links: full capacity, every crossing flow
-        // unfrozen.
+        sc.work.extend_from_slice(&sc.links);
         for &li in &sc.work {
             let li = li as usize;
             sc.fill[li].residual = self.capacity[li];
+            sc.fill[li].load = LinkLoad::default();
             sc.fill[li].unfrozen = self.link_flows[li].len() as u32;
         }
-        self.recomputes += 1;
-        self.recomputed_flows += remaining_flows as u64;
-        while remaining_flows > 0 {
+        while flows > 0 {
             // Minimum fair share among links carrying unfrozen flows.
             // Links whose flows have all frozen are compacted out so
             // later waves scan a shrinking list.
@@ -670,7 +888,7 @@ impl FlowNetwork {
             let mut i = 0;
             while i < sc.work.len() {
                 let li = sc.work[i];
-                let f = sc.fill[li as usize];
+                let f = &sc.fill[li as usize];
                 if f.unfrozen == 0 {
                     sc.work.swap_remove(i);
                     continue;
@@ -711,13 +929,15 @@ impl FlowNetwork {
                     }
                     sc.flow_epoch[s] = epoch;
                     let f = &mut self.slots[s];
+                    let old = f.rate;
                     // Re-anchor only on a bitwise rate change: an unchanged
                     // rate keeps the old anchor, so repeated recomputes do
                     // not accumulate floating-point drain error.
-                    if f.rate != min_share {
+                    if old != min_share {
+                        sc.changed.push((s as u32, old, f.remaining, f.anchor));
                         let dt = now.since(f.anchor).as_secs_f64();
                         if dt > 0.0 {
-                            f.remaining = (f.remaining - f.rate * dt).max(0.0);
+                            f.remaining = (f.remaining - old * dt).max(0.0);
                         }
                         f.anchor = now;
                         f.rate = min_share;
@@ -726,19 +946,71 @@ impl FlowNetwork {
                             self.reanchored.push(s as u32);
                         }
                     }
-                    remaining_flows -= 1;
+                    flows -= 1;
                     for &l in self.slots[s].links.iter() {
-                        let f = &mut sc.fill[l.0 as usize];
-                        f.residual -= min_share;
-                        // Numerical hygiene: clamp tiny negative residuals.
-                        if f.residual < 0.0 {
-                            f.residual = 0.0;
+                        let li = l.0 as usize;
+                        let f = &mut sc.fill[li];
+                        if f.epoch == epoch {
+                            f.load.sum += min_share;
+                            f.residual -= min_share;
+                            // Numerical hygiene: clamp tiny negative residuals.
+                            if f.residual < 0.0 {
+                                f.residual = 0.0;
+                            }
+                            f.unfrozen -= 1;
+                        } else if min_share > old {
+                            // A slack link outside the pass.
+                            if f.epoch != checked {
+                                f.epoch = checked;
+                                f.load = self.load[li];
+                                sc.checked.push(l.0);
+                            }
+                            f.load.shift(old, min_share);
                         }
-                        f.unfrozen -= 1;
                     }
                 }
             }
         }
+    }
+
+    /// Re-check the slack links outside the pass whose projected load a
+    /// rising flow raised, plus every link of a started flow (which may
+    /// have joined an empty dead link at rate zero). A link that is not
+    /// slack for certain is summed afresh over `link_flows` and marked
+    /// binding if that sum binds. Returns whether any link was marked.
+    ///
+    /// A falling rate can only make a slack link slacker, so projections
+    /// skip falls: a link's recorded load is an upper bound on its sum.
+    fn promote_slack_links(&mut self, epoch: u32) -> bool {
+        let checked = epoch - 1;
+        let sc = &mut self.scratch;
+        for &s in &self.started {
+            for &l in self.slots[s as usize].links.iter() {
+                let f = &mut sc.fill[l.0 as usize];
+                if f.epoch != epoch && f.epoch != checked {
+                    f.epoch = checked;
+                    f.load = self.load[l.0 as usize];
+                    sc.checked.push(l.0);
+                }
+            }
+        }
+        let mut promoted = false;
+        for &l in &sc.checked {
+            let li = l as usize;
+            let f = &mut sc.fill[li];
+            if f.load.surely_slack(self.capacity[li]) {
+                continue;
+            }
+            let flows = &self.link_flows[li];
+            let sum: f64 = flows.iter().map(|&x| self.slots[x as usize].rate).sum();
+            f.load = LinkLoad::summed(sum, flows.len());
+            if LinkLoad::binds(sum, self.capacity[li]) {
+                self.binding[li] = true;
+                self.binding_links += 1;
+                promoted = true;
+            }
+        }
+        promoted
     }
 
     /// Sum of rates crossing each link; used by conservation tests.
@@ -863,14 +1135,19 @@ mod tests {
         let p = rt.path(&t, NodeId(0), NodeId(2)).unwrap();
         let a = fnw.start(SimTime::ZERO, &p, 1_000_000).unwrap();
         let b = fnw.start(SimTime::ZERO, &p, 1_000_000).unwrap();
-        // Both starts coalesce into a single deferred pass over 2 flows.
+        // Both starts coalesce into a single deferred pass. Both links are
+        // empty, so slack with equal headroom, and each new flow enters
+        // through the first, a - b; filling a - b alone leaves b - c over
+        // capacity, so b - c turns binding and the pass reruns: two runs
+        // over 2 flows, 2 rates changed.
         fnw.rate(a);
         fnw.rate(b);
         assert_eq!(
             fnw.engine_stats(),
             FlowEngineStats {
                 recomputes: 1,
-                recomputed_flows: 2
+                recomputed_flows: 4,
+                rate_changes: 2,
             }
         );
         let reg = continuum_obs::MetricsRegistry::new();
@@ -878,8 +1155,9 @@ mod tests {
         let mut snap = reg.snapshot();
         FlowEngineStats::publish_mean_batch(&mut snap, "fe");
         assert_eq!(snap.counter("fe.recomputes"), 1);
-        assert_eq!(snap.counter("fe.recomputed_flows"), 2);
-        assert_eq!(snap.gauge("fe.mean_batch"), Some(2.0));
+        assert_eq!(snap.counter("fe.recomputed_flows"), 4);
+        assert_eq!(snap.counter("fe.rate_changes"), 2);
+        assert_eq!(snap.gauge("fe.mean_batch"), Some(4.0));
 
         // Two components: a-b and b-c carry disjoint flows. A pass counts
         // only the flows of the component its mutation touched.
@@ -897,7 +1175,8 @@ mod tests {
             fnw.engine_stats(),
             FlowEngineStats {
                 recomputes: 2,
-                recomputed_flows: 5
+                recomputed_flows: 5,
+                rate_changes: 5,
             }
         );
         fnw.remove(SimTime::ZERO, x);
@@ -909,7 +1188,8 @@ mod tests {
             fnw.engine_stats(),
             FlowEngineStats {
                 recomputes: 3,
-                recomputed_flows: 6
+                recomputed_flows: 6,
+                rate_changes: 6,
             }
         );
     }
@@ -933,6 +1213,74 @@ mod tests {
         let y = fnw.start(SimTime::ZERO, &rt.path(&t, a, c).unwrap(), 1_000_000);
         assert_eq!(fnw.rate(y.unwrap()), Some(2e5));
         assert_eq!(fnw.rate(x.unwrap()), Some(8e5));
+    }
+
+    #[test]
+    fn removal_that_saturates_a_slack_link_reruns_the_pass() {
+        // a - b at 10 B/s (link 0), b - c at 8 B/s (link 1). x crosses
+        // both, y only a - b: they share a - b at 5 each, and b - c
+        // (load 5 of 8) is slack.
+        let mut t = Topology::new();
+        let a = t.add_node("a", Tier::Edge);
+        let b = t.add_node("b", Tier::Fog);
+        let c = t.add_node("c", Tier::Cloud);
+        t.add_link(a, b, SimDuration::from_micros(1), 10.0);
+        t.add_link(b, c, SimDuration::from_micros(1), 8.0);
+        let rt = RouteTable::build(&t);
+        let mut fnw = FlowNetwork::new(&t);
+        let x = fnw
+            .start(SimTime::ZERO, &rt.path(&t, a, c).unwrap(), 100)
+            .unwrap();
+        let y = fnw
+            .start(SimTime::ZERO, &rt.path(&t, a, b).unwrap(), 100)
+            .unwrap();
+        assert_eq!(fnw.rate(x), Some(5.0));
+        assert_eq!(fnw.binding, vec![true, false]);
+        assert_eq!(fnw.engine_stats().recomputed_flows, 2);
+        // Removing y dirties only a - b. Filling it alone would give x all
+        // 10 B/s; the re-check finds b - c over capacity, marks it
+        // binding, undoes the pass and reruns it with b - c included.
+        fnw.remove(SimTime::from_secs(4), y);
+        let mut full = fnw.clone();
+        full.dirty_links.extend(0..2);
+        assert_eq!(fnw.rate(x), Some(8.0));
+        assert_eq!(fnw.binding, vec![false, true]);
+        assert_eq!(
+            fnw.engine_stats(),
+            FlowEngineStats {
+                recomputes: 2,
+                recomputed_flows: 4,
+                rate_changes: 3,
+            }
+        );
+        // The undone pass left no trace: x re-anchored once, at 4 s with
+        // 80 bytes left, exactly as a full re-rate does.
+        assert_eq!(fnw.remaining(x), Some(80.0));
+        assert_eq!(fnw.next_completion(), Some((SimTime::from_secs(14), x)));
+        assert_eq!(fnw.next_completion(), full.next_completion());
+        assert_eq!(fnw.slots[x.slot()].anchor, full.slots[x.slot()].anchor);
+    }
+
+    #[test]
+    fn zero_rate_flow_over_dead_links_marks_them_binding() {
+        // Both links of a - b - c are dead and empty, so both are marked
+        // slack. A new flow enters through a - b and freezes at rate 0,
+        // which changes no rate; the re-check of the new flow's links
+        // still finds b - c binding (load 0 of capacity 0).
+        let (t, rt) = chain();
+        let mut fnw = FlowNetwork::new(&t);
+        fnw.fail_link(SimTime::ZERO, LinkId(0));
+        fnw.fail_link(SimTime::ZERO, LinkId(1));
+        let x = fnw.start(
+            SimTime::ZERO,
+            &rt.path(&t, NodeId(0), NodeId(2)).unwrap(),
+            10,
+        );
+        assert_eq!(fnw.rate(x.unwrap()), Some(0.0));
+        assert_eq!(fnw.binding, vec![true, true]);
+        assert_eq!(fnw.engine_stats().rate_changes, 0);
+        fnw.restore_link(SimTime::ZERO, LinkId(0));
+        assert_eq!(fnw.rate(x.unwrap()), Some(0.0));
     }
 
     #[test]
@@ -1232,6 +1580,50 @@ mod tests {
         (t, groups)
     }
 
+    /// A sensor → edge → fog → cloud tree under two peered clouds:
+    /// `fogs` fogs split between the clouds, each with two edges of two
+    /// to four sensors. Access links draw 1e6..1e7 B/s, and each uplink
+    /// draws 0.5..1.5 × the summed capacity of the links beneath it, so
+    /// under churn the upper tiers flip between slack and binding.
+    /// Returns the topology, the sensors and every other node.
+    fn tiered(seed: u64, fogs: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+        let mut rng = Rng::new(seed);
+        let mut t = Topology::new();
+        let lat = SimDuration::from_micros(100);
+        let clouds = [
+            t.add_node("cloud0", Tier::Cloud),
+            t.add_node("cloud1", Tier::Cloud),
+        ];
+        let (mut sensors, mut upper) = (Vec::new(), clouds.to_vec());
+        let mut under_cloud = [0.0; 2];
+        for f in 0..fogs {
+            let fog = t.add_node(format!("fog{f}"), Tier::Fog);
+            upper.push(fog);
+            let mut under_fog = 0.0;
+            for e in 0..2 {
+                let edge = t.add_node(format!("edge{f}.{e}"), Tier::Edge);
+                upper.push(edge);
+                let mut under_edge = 0.0;
+                for s in 0..rng.range_u64(2, 5) {
+                    let sensor = t.add_node(format!("sensor{f}.{e}.{s}"), Tier::Sensor);
+                    let cap = rng.range_f64(1e6, 1e7);
+                    t.add_link(sensor, edge, lat, cap);
+                    sensors.push(sensor);
+                    under_edge += cap;
+                }
+                let cap = under_edge * rng.range_f64(0.5, 1.5);
+                t.add_link(edge, fog, lat, cap);
+                under_fog += cap;
+            }
+            let cap = under_fog * rng.range_f64(0.5, 1.5);
+            t.add_link(fog, clouds[f % 2], lat, cap);
+            under_cloud[f % 2] += cap;
+        }
+        let peering = under_cloud[0].max(under_cloud[1]) * rng.range_f64(0.5, 1.5);
+        t.add_link(clouds[0], clouds[1], lat, peering);
+        (t, sensors, upper)
+    }
+
     /// The linear scan `next_completion` used before the completion
     /// heap: the reference the heap is checked against.
     fn next_completion_scan(net: &mut FlowNetwork) -> Option<(SimTime, FlowId)> {
@@ -1257,8 +1649,8 @@ mod tests {
     /// Random start / remove / fail / restore / complete churn, with
     /// `path` drawing each new flow's route. After every op the engine
     /// must equal, bit for bit, a clone whose every link is marked dirty
-    /// (a full re-rate), and its completion heap must agree with the
-    /// linear scan.
+    /// (a full re-rate), its completion heap must agree with the linear
+    /// scan, and its link classes and load bounds must hold.
     fn churn_matches_full_rerate(
         t: &Topology,
         seed: u64,
@@ -1319,6 +1711,25 @@ mod tests {
             let next = fnw.next_completion();
             assert_eq!(next, next_completion_scan(&mut fnw), "heap vs scan");
             assert_eq!(next, next_completion_scan(&mut full), "vs full re-rate");
+            // A link marked slack is slack, and its recorded load bounds
+            // its sum from above.
+            for l in 0..n_links {
+                let flows = &fnw.link_flows[l];
+                let sum: f64 = flows.iter().map(|&s| fnw.slots[s as usize].rate).sum();
+                let (cap, load) = (fnw.capacity[l], fnw.load[l]);
+                let marked = fnw.binding[l];
+                assert!(
+                    marked || !LinkLoad::binds(sum, cap) || flows.is_empty(),
+                    "link {l}"
+                );
+                let rounding = f64::EPSILON * flows.len() as f64 * sum;
+                assert!(
+                    sum <= load.sum + load.slop + rounding,
+                    "load bound of link {l}"
+                );
+            }
+            let marked = fnw.binding.iter().filter(|&&b| b).count();
+            assert_eq!(marked, fnw.binding_links as usize);
         }
     }
 
@@ -1354,6 +1765,32 @@ mod tests {
                 // One flow in ten crosses the hub into another spoke.
                 let h = if rng.chance(0.1) { rng.index(groups.len()) } else { g };
                 rt.path(&t, a, *rng.choose(&groups[h]))
+            });
+        }
+
+        /// The same bitwise identity on a tiered sensor → edge → fog →
+        /// cloud tree whose uplinks sit near the sum of their access
+        /// capacities, so start / remove / fail / restore churn keeps
+        /// flipping links between slack and binding — the case where
+        /// leaving slack links out of a pass must re-check and rerun.
+        #[test]
+        fn tiered_rerate_matches_full_rerate_bitwise(
+            seed in proptest::any::<u64>(),
+            fogs in 1usize..5,
+            ops in 5usize..80,
+        ) {
+            let (t, sensors, upper) = tiered(seed, fogs);
+            let rt = RouteTable::build(&t);
+            churn_matches_full_rerate(&t, seed ^ 0x7E3, ops, |rng| {
+                let a = *rng.choose(&sensors);
+                // Mostly uplink traffic; one flow in five goes to another
+                // sensor, and one in ten leaves from the upper tiers.
+                let b = if rng.chance(0.2) {
+                    *rng.choose(&sensors)
+                } else {
+                    *rng.choose(&upper)
+                };
+                if rng.chance(0.1) { rt.path(&t, b, a) } else { rt.path(&t, a, b) }
             });
         }
     }

@@ -2340,9 +2340,7 @@ impl<'a> ExecCore<'a> {
     fn flow_stats(&self) -> FlowEngineStats {
         let mut stats = self.network.engine_stats();
         for net in self.part.iter().flat_map(|p| p.nets.iter().flatten()) {
-            let s = net.engine_stats();
-            stats.recomputes += s.recomputes;
-            stats.recomputed_flows += s.recomputed_flows;
+            stats += net.engine_stats();
         }
         stats
     }

@@ -14,9 +14,11 @@ when a speedup collapses below `TOLERANCE` (default 0.5x) of its
 baseline — the regime where an accidental O(n) -> O(n^2) slip or a
 de-optimised hot path shows up regardless of runner noise.
 
-Keys present only in the fresh file (new bench arms) or only in the
-baseline (retired arms) are reported but never fail the build; the
-comparison is over the intersection. Usage:
+Every section (top-level arm) of each file is listed with how many of
+its numeric keys are gated, so an arm without a speedup key still shows
+up. Sections and numeric keys present only in the fresh file (new bench
+arms) or only in the baseline (retired arms) are reported but never fail
+the build; the gate compares the speedup keys present in both. Usage:
 
     python3 scripts/bench_regress.py BENCH_runtime.smoke.json BENCH_fabric.smoke.json ...
 """
@@ -28,20 +30,36 @@ import sys
 TOLERANCE = 0.5
 
 
-def speedups(obj, prefix=""):
-    """Flatten `obj` to {dotted.path: value} for numeric *speedup* keys."""
+def numeric_keys(obj, prefix=""):
+    """Flatten `obj` to {dotted.path: (value, gated)} for numeric leaves.
+
+    A leaf is gated when the dict key holding it contains "speedup".
+    """
     out = {}
     if isinstance(obj, dict):
         for key, val in obj.items():
             path = f"{prefix}.{key}" if prefix else key
             if isinstance(val, (dict, list)):
-                out.update(speedups(val, path))
-            elif isinstance(val, (int, float)) and "speedup" in key.lower():
-                out[path] = float(val)
+                out.update(numeric_keys(val, path))
+            elif isinstance(val, (int, float)):
+                out[path] = (float(val), "speedup" in key.lower())
     elif isinstance(obj, list):
         for i, val in enumerate(obj):
-            out.update(speedups(val, f"{prefix}[{i}]"))
+            path = f"{prefix}[{i}]"
+            if isinstance(val, (dict, list)):
+                out.update(numeric_keys(val, path))
+            elif isinstance(val, (int, float)):
+                out[path] = (float(val), False)
     return out
+
+
+def sections(obj):
+    """Top-level keys holding a bench arm (a dict or a list)."""
+    return {k for k, v in obj.items() if isinstance(v, (dict, list))}
+
+
+def section_of(path):
+    return path.split(".")[0].split("[")[0]
 
 
 def main(files):
@@ -57,23 +75,34 @@ def main(files):
         except subprocess.CalledProcessError:
             print(f"{name}: no committed baseline, skipping")
             continue
-        base = speedups(json.loads(committed))
+        base_doc = json.loads(committed)
         with open(name) as fh:
-            fresh = speedups(json.load(fh))
-        for path in sorted(set(base) | set(fresh)):
-            if path not in fresh:
-                print(f"{name}: {path} only in baseline (retired arm?)")
-            elif path not in base:
-                print(f"{name}: {path} only in fresh run (new arm)")
-            else:
-                ratio = fresh[path] / base[path] if base[path] else float("inf")
-                verdict = "ok" if ratio >= TOLERANCE else "REGRESSED"
-                print(
-                    f"{name}: {path} baseline {base[path]:.3f} "
-                    f"fresh {fresh[path]:.3f} ratio {ratio:.2f} {verdict}"
-                )
-                if ratio < TOLERANCE:
-                    failures.append((name, path, base[path], fresh[path]))
+            fresh_doc = json.load(fh)
+        base, fresh = numeric_keys(base_doc), numeric_keys(fresh_doc)
+        base_secs, fresh_secs = sections(base_doc), sections(fresh_doc)
+        for sec in sorted(base_secs | fresh_secs):
+            src = fresh if sec in fresh_secs else base
+            keys = [gated for path, (_, gated) in src.items() if section_of(path) == sec]
+            where = ""
+            if sec not in fresh_secs:
+                where = " only in baseline (retired arm?)"
+            elif sec not in base_secs:
+                where = " only in fresh run (new arm)"
+            print(f"{name}: section {sec}: {len(keys)} numeric keys, {sum(keys)} gated{where}")
+        # Keys of a one-sided section are covered by its line above.
+        for path in sorted(set(base) ^ set(fresh)):
+            if section_of(path) not in base_secs ^ fresh_secs:
+                side = "baseline" if path in base else "fresh run"
+                print(f"{name}: {path} only in {side}")
+        for path in sorted(set(base) & set(fresh)):
+            (b, gated), (f, _) = base[path], fresh[path]
+            if not gated:
+                continue
+            ratio = f / b if b else float("inf")
+            verdict = "ok" if ratio >= TOLERANCE else "REGRESSED"
+            print(f"{name}: {path} baseline {b:.3f} fresh {f:.3f} ratio {ratio:.2f} {verdict}")
+            if ratio < TOLERANCE:
+                failures.append((name, path, b, f))
     if failures:
         print(f"\n{len(failures)} speedup(s) below {TOLERANCE}x of baseline:")
         for name, path, b, f in failures:

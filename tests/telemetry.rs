@@ -244,6 +244,7 @@ fn snapshot_carries_headline_keys() {
         "event_queue.compactions",
         "executor.replacements",
         "flow_engine.recomputes",
+        "flow_engine.rate_changes",
     ] {
         assert!(
             rendered.contains(&format!("\"{key}\"")),
@@ -509,6 +510,10 @@ fn open_loop_sharded_telemetry_on_is_bit_identical_to_off() {
         snap.gauge("flow_engine.mean_batch"),
         Some(flows as f64 / passes as f64)
     );
+    // Every byte moved at some rate, and a re-rating changes at most the
+    // flows it re-rated.
+    let changes = snap.counter("flow_engine.rate_changes");
+    assert!(0 < changes && changes <= flows, "{changes} of {flows}");
 }
 
 /// Telemetry on vs off is bit-identical for the federation: the
