@@ -19,6 +19,13 @@
 //! (every f64 metric, every trace record) before timing anything — the
 //! speedup is not bought with a different execution.
 //!
+//! Both executors drive the same `FlowNetwork`, so a slower flow engine
+//! moves both sides of `speedup`. Each arm therefore also records the
+//! engine's exact work under `work` — flows re-rated and rate changes,
+//! read from the checked (untimed) dense pass run under a telemetry sink.
+//! The counts are deterministic; `scripts/bench_regress.py` fails when one
+//! rises above its committed smoke value.
+//!
 //! Writes `BENCH_runtime.json` in the current directory; run from the
 //! workspace root:
 //!
@@ -142,14 +149,23 @@ fn churn_plane(env: &Env, base_makespan_s: f64) -> FaultPlane {
 }
 
 /// Run one arm: assert the dense executor and the vendored seed executor
-/// produce bit-identical outcomes, then time both.
+/// produce bit-identical outcomes, then time both. The checked dense pass
+/// runs under a metrics sink (outside the timed passes) for the arm's
+/// flow-engine work counts.
 fn bench_arm(
     env: &Env,
     reqs: &[StreamRequest],
     plane: Option<&FaultPlane>,
     reps: usize,
 ) -> (SimOutcome, serde_json::Value) {
-    let dense = simulate_stream_chaos(env, reqs, None, plane);
+    let tele = Rc::new(Telemetry::new(false));
+    let dense =
+        continuum_obs::with_ambient(&tele, || simulate_stream_chaos(env, reqs, None, plane));
+    let snap = dense.telemetry.as_deref().expect("a sink was ambient");
+    let work = json!({
+        "recomputed_flows": snap.counter("flow_engine.recomputed_flows"),
+        "rate_changes": snap.counter("flow_engine.rate_changes"),
+    });
     let seed = simulate_stream_chaos_seed(env, reqs, None, plane);
     assert_eq!(
         dense, seed,
@@ -172,6 +188,7 @@ fn bench_arm(
         "seed_ms": seed_ms,
         "dense_ms": dense_ms,
         "speedup": seed_ms / dense_ms,
+        "work": work,
         "bit_identical": true,
     });
     (dense, stats)
@@ -330,6 +347,10 @@ fn main() {
              per (src, dst) pair per fault epoch.",
             "telemetry is always populated: it is the metrics snapshot of an \
              untimed instrumented replay of the chaos arm plus a fabric fault leg.",
+            "work holds each arm's exact flow-engine counts (flows re-rated, rate \
+             changes) from the checked dense pass; bench_regress.py fails when one \
+             rises above the committed smoke value, so a slower engine that moves \
+             both sides of `speedup` still fails the guard.",
             "open_loop_health times the open-loop executor with the SLO burn-rate \
              health plane off vs on; the two runs are asserted equal on every \
              simulated number before timing, so `overhead` is pure observation cost.",

@@ -19,8 +19,8 @@ use continuum_fabric::{
 use continuum_net::{continuum_regions, RegionPartition};
 use continuum_obs::{with_ambient, Telemetry};
 use continuum_runtime::{
-    simulate_open_loop_sharded, simulate_stream_sharded, OpenLoopOpts, OpenLoopReport, ShardOpts,
-    StreamRequest,
+    simulate_open_loop, simulate_open_loop_sharded, simulate_stream_sharded, OpenLoopOpts,
+    OpenLoopReport, ShardOpts, StreamRequest,
 };
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -514,6 +514,62 @@ fn open_loop_sharded_telemetry_on_is_bit_identical_to_off() {
     // flows it re-rated.
     let changes = snap.counter("flow_engine.rate_changes");
     assert!(0 < changes && changes <= flows, "{changes} of {flows}");
+}
+
+/// Every executor runs under the same shard driver, but only the pinned
+/// backend is sharded: single-queue closed- and open-loop runs publish no
+/// `shard.*` key, while the pinned open loop still publishes its window,
+/// message and imbalance keys.
+#[test]
+fn only_pinned_runs_publish_shard_keys() {
+    let world = world();
+    let reqs = requests(&world, 0x5A4D, 20);
+    let plane = churn_plane(&world, 0x5A4D);
+    let tele = Rc::new(Telemetry::new(false));
+    with_ambient(&tele, || {
+        std::hint::black_box(simulate_stream_chaos(
+            world.env(),
+            &reqs,
+            None,
+            Some(&plane),
+        ));
+        let opts = OpenLoopOpts {
+            max_live: 1,
+            ..OpenLoopOpts::default()
+        };
+        std::hint::black_box(simulate_open_loop(world.env(), reqs.iter().cloned(), &opts));
+    });
+    let snap = tele.metrics.snapshot();
+    assert_eq!(
+        snap.counter("executor.runs"),
+        1,
+        "the closed loop published"
+    );
+    assert_eq!(snap.counter("slo.offered"), 1, "the open loop published");
+    let keys = serde_json::to_string(&snap).expect("snapshot serializes");
+    assert!(
+        !keys.contains("\"shard."),
+        "a single-queue run published shard keys: {keys}"
+    );
+
+    let spec = Scenario::default_continuum().spec;
+    let regions = continuum_regions(&spec);
+    let partition = RegionPartition::new(world.topology(), regions.clone(), 0);
+    let spanning = spanning_requests(&world, &regions, 12);
+    let tele = Rc::new(Telemetry::new(false));
+    with_ambient(&tele, || {
+        std::hint::black_box(simulate_open_loop_sharded(
+            world.env(),
+            spanning.iter().cloned(),
+            &partition,
+            &OpenLoopOpts::default(),
+            &ShardOpts::pinned(2),
+        ));
+    });
+    let snap = tele.metrics.snapshot();
+    assert!(snap.counter("shard.windows") > 0);
+    assert!(snap.counter("shard.messages") > 0);
+    assert!(snap.gauge("shard.util.imbalance").is_some());
 }
 
 /// Telemetry on vs off is bit-identical for the federation: the
