@@ -191,8 +191,9 @@ pub struct FabricReport {
     /// Backoff rounds scheduled for displaced work (≥ `reroutes`; the
     /// excess is rounds that found every endpoint down and waited again).
     pub retries: u64,
-    /// Invocations abandoned after `Backoff::max_retries` rounds (or
-    /// whose function id no longer resolved at re-route time).
+    /// Invocations abandoned after `Backoff::max_retries` rounds, or
+    /// dropped on arrival because the registry does not know their
+    /// function id.
     /// `completed + dropped + rejected` always equals the invocation
     /// count.
     pub dropped: u64,
