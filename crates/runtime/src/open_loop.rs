@@ -23,7 +23,9 @@
 //! bytes, bills the same dollars, and yields the same latency
 //! distribution as [`crate::simulate_stream_chaos`].
 
-use crate::shard::{build_cores, pinned_participants, CoreShard, Pinned, ShardOpts};
+use crate::shard::{
+    build_cores, pinned_participants, publish_shard_metrics, CoreShard, Pinned, ShardOpts,
+};
 use crate::simrun::{FaultPlane, FaultSpec, StreamRequest, Tally};
 use continuum_net::{FlowEngineStats, RegionPartition};
 use continuum_obs::{
@@ -388,6 +390,7 @@ fn run_open(
         "admitted requests still outstanding after the run drained"
     );
     let (cores, wstats) = driver.into_parts();
+    let events: Vec<u64> = cores.iter().map(|s| s.core.scheduled_events()).collect();
     assert_eq!(
         gate.completed + gate.rejected,
         gate.offered,
@@ -398,7 +401,6 @@ fn run_open(
     let mut task_duration = Histogram::default();
     let mut tasks_by_device = vec![0u64; env.fleet.len()];
     let mut tasks_executed = 0u64;
-    let mut largest = 0u64;
     let mut peak_record_buffer = 0usize;
     let mut tallies = Vec::new();
     let mut snaps = Vec::new();
@@ -408,7 +410,6 @@ fn run_open(
             tasks_by_device[d] += v;
         }
         tasks_executed += p.tasks_executed;
-        largest = largest.max(p.tasks_executed);
         peak_record_buffer = peak_record_buffer.max(p.peak_record_buf);
         tallies.push(p.tally);
         snaps.extend(p.snap);
@@ -442,17 +443,7 @@ fn run_open(
     };
     if let Some(t) = tele {
         if pinned.is_some() {
-            let reg = MetricsRegistry::new();
-            reg.inc("shard.runs", 1);
-            reg.record("shard.count", n as u64);
-            reg.record("shard.windows", wstats.windows);
-            reg.inc("shard.messages", wstats.messages);
-            if tasks_executed > 0 {
-                let mean = tasks_executed as f64 / n as f64;
-                reg.set_gauge("shard.util.mean_events", mean);
-                reg.set_gauge("shard.util.imbalance", largest as f64 / mean);
-            }
-            t.metrics.absorb(&reg.snapshot());
+            publish_shard_metrics(&t, &events, &wstats);
         }
         publish_slo_metrics(&t, &report, snaps);
     }

@@ -231,25 +231,17 @@ pub(crate) fn pinned_participants(
     parts
 }
 
-/// Satellite telemetry for a sharded run: plan shape, per-shard event
-/// counts, and (for more than one shard) window and message traffic.
-fn publish_shard_metrics(
-    tele: &Telemetry,
-    groups: &[Vec<usize>],
-    events: &[u64],
-    wstats: Option<&WindowStats>,
-) {
+/// Satellite telemetry of a pinned run, closed or open loop alike, at
+/// every shard count: `events[s]` is core `s`'s
+/// [`ExecCore::scheduled_events`], read as per-shard load (`shard.events`,
+/// `shard.largest_fraction` and the `shard.util.*` view of the same
+/// counts), and `wstats` gives window and envelope traffic.
+/// `shard.plan_largest_fraction` is not published here: it needs the
+/// closed loop's request groups, so only [`run_closed`] publishes it.
+pub(crate) fn publish_shard_metrics(tele: &Telemetry, events: &[u64], wstats: &WindowStats) {
     let reg = MetricsRegistry::new();
     reg.inc("shard.runs", 1);
-    reg.record("shard.count", groups.len() as u64);
-    let assigned: usize = groups.iter().map(Vec::len).sum();
-    if assigned > 0 {
-        let largest = groups.iter().map(Vec::len).max().unwrap_or(0);
-        reg.set_gauge(
-            "shard.plan_largest_fraction",
-            largest as f64 / assigned as f64,
-        );
-    }
+    reg.record("shard.count", events.len() as u64);
     let total_events: u64 = events.iter().sum();
     for (i, &e) in events.iter().enumerate() {
         reg.inc_labeled("shard.events", i as u32, e);
@@ -267,12 +259,10 @@ fn publish_shard_metrics(
         reg.set_gauge("shard.util.mean_events", mean);
         reg.set_gauge("shard.util.imbalance", largest as f64 / mean);
     }
-    if let Some(w) = wstats {
-        reg.record("shard.windows", w.windows);
-        reg.inc("shard.messages", w.messages);
-        for (i, &m) in w.per_shard_messages.iter().enumerate() {
-            reg.inc_labeled("shard.messages_to", i as u32, m);
-        }
+    reg.record("shard.windows", wstats.windows);
+    reg.record("shard.messages", wstats.messages);
+    for (i, &m) in wstats.per_shard_messages.iter().enumerate() {
+        reg.inc_labeled("shard.messages_to", i as u32, m);
     }
     tele.metrics.absorb(&reg.snapshot());
 }
@@ -302,7 +292,16 @@ pub(crate) fn run_closed(
     if let Some((partition, _)) = pinned {
         if let Some(t) = &tele {
             let events: Vec<u64> = shards.iter().map(|s| s.core.scheduled_events()).collect();
-            publish_shard_metrics(t, &groups, &events, (shards.len() > 1).then_some(&wstats));
+            publish_shard_metrics(t, &events, &wstats);
+            // The plan's shape: the largest request group's share.
+            let assigned: usize = groups.iter().map(Vec::len).sum();
+            if assigned > 0 {
+                let largest = groups.iter().map(Vec::len).max().unwrap_or(0);
+                t.metrics.set_gauge(
+                    "shard.plan_largest_fraction",
+                    largest as f64 / assigned as f64,
+                );
+            }
         }
         layout =
             trace_on.then(|| ShardLayout::new(env, partition, shards[0].shard_of_region.clone()));

@@ -516,10 +516,27 @@ fn open_loop_sharded_telemetry_on_is_bit_identical_to_off() {
     assert!(0 < changes && changes <= flows, "{changes} of {flows}");
 }
 
+/// The `shard.*` metric names a snapshot carries, of every kind.
+fn shard_keys(snap: &continuum_obs::MetricsSnapshot) -> std::collections::BTreeSet<String> {
+    let serde::Value::Object(kinds) = serde::Serialize::to_value(snap) else {
+        panic!("snapshot is not an object");
+    };
+    kinds
+        .iter()
+        .flat_map(|(_, names)| match names {
+            serde::Value::Object(names) => names.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        })
+        .filter(|k| k.starts_with("shard."))
+        .collect()
+}
+
 /// Every executor runs under the same shard driver, but only the pinned
 /// backend is sharded: single-queue closed- and open-loop runs publish no
-/// `shard.*` key, while the pinned open loop still publishes its window,
-/// message and imbalance keys.
+/// `shard.*` key, while pinned closed- and open-loop runs publish the
+/// same key set at every shard count, windows and messages included.
+/// Only the closed loop adds `shard.plan_largest_fraction`: the open
+/// loop has no request plan.
 #[test]
 fn only_pinned_runs_publish_shard_keys() {
     let world = world();
@@ -556,20 +573,40 @@ fn only_pinned_runs_publish_shard_keys() {
     let regions = continuum_regions(&spec);
     let partition = RegionPartition::new(world.topology(), regions.clone(), 0);
     let spanning = spanning_requests(&world, &regions, 12);
-    let tele = Rc::new(Telemetry::new(false));
-    with_ambient(&tele, || {
-        std::hint::black_box(simulate_open_loop_sharded(
-            world.env(),
-            spanning.iter().cloned(),
-            &partition,
-            &OpenLoopOpts::default(),
-            &ShardOpts::pinned(2),
-        ));
-    });
-    let snap = tele.metrics.snapshot();
-    assert!(snap.counter("shard.windows") > 0);
-    assert!(snap.counter("shard.messages") > 0);
-    assert!(snap.gauge("shard.util.imbalance").is_some());
+    for n in [1, 2, 3] {
+        let closed = Rc::new(Telemetry::new(false));
+        with_ambient(&closed, || {
+            std::hint::black_box(simulate_stream_sharded(
+                world.env(),
+                &spanning,
+                None,
+                &partition,
+                &ShardOpts::pinned(n),
+            ));
+        });
+        let open = Rc::new(Telemetry::new(false));
+        with_ambient(&open, || {
+            std::hint::black_box(simulate_open_loop_sharded(
+                world.env(),
+                spanning.iter().cloned(),
+                &partition,
+                &OpenLoopOpts::default(),
+                &ShardOpts::pinned(n),
+            ));
+        });
+        let (closed, open) = (closed.metrics.snapshot(), open.metrics.snapshot());
+        for snap in [&closed, &open] {
+            assert!(snap.counter("shard.windows") > 0, "{n} shards");
+            assert!(snap.gauge("shard.util.imbalance").is_some(), "{n} shards");
+            if n > 1 {
+                assert!(snap.counter("shard.messages") > 0, "{n} shards");
+            }
+        }
+        let mut closed_keys = shard_keys(&closed);
+        assert!(closed_keys.remove("shard.plan_largest_fraction"));
+        assert_eq!(closed_keys, shard_keys(&open), "{n} shards");
+        assert!(closed_keys.contains("shard.messages"), "{n} shards");
+    }
 }
 
 /// Telemetry on vs off is bit-identical for the federation: the
