@@ -14,6 +14,7 @@
 //! load balance for each routing policy.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod broker;
 pub mod federation;
