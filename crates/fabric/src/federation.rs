@@ -4,19 +4,27 @@
 //! [`run_federation`] is the fabric's one event loop. Each **site** is a
 //! broker owning a pool of endpoints (sites are derived from
 //! [`RegionPartition`] regions, or [`single_site`] puts every endpoint in
-//! one), and a [`Forwarder`] routes every invocation to a site through the
-//! shared epoch-tagged route cache. A single broker is the degenerate
-//! case — one site, batch 1 — and [`crate::broker::run_fabric`] is exactly
-//! that call.
+//! one), and a [`Forwarder`] routes every invocation to a site and times
+//! its payload legs from the dense transfer matrix of the [`Env`]. A
+//! single broker is the degenerate case — one site, batch 1 — and
+//! [`crate::broker::run_fabric`] is exactly that call.
 //!
 //! # Structure
 //!
 //! A private `FedCore` holds the run: inputs, endpoint, invocation and
-//! site state, forwarder, event queue, health plane, one `FedTally` of
+//! site state, forwarder, event calendar, health plane, one `FedTally` of
 //! counters. [`run_federation`] merges the arrival cursor against its
-//! queue (`arrive` per arrival, `step` per event, one method per event
+//! calendar (`arrive` per arrival, `step` per event, one method per event
 //! kind) and ends with `finish`, which builds the report and publishes
 //! `fabric.*`. An unknown function id is dropped on arrival.
+//!
+//! The calendar is a plain `BinaryHeap` min-heap on (time, schedule
+//! sequence), not `continuum_sim`'s cancellable event queue: the fabric
+//! never cancels an event (stale ones carry an epoch or generation and
+//! are ignored when they pop) and never orders by content key, so it
+//! would pay for that queue's slots, generations, tombstone checks and
+//! key field without using them. With every event at key 0 both pop in
+//! the same order.
 //!
 //! # Batched dispatch
 //!
@@ -59,11 +67,11 @@
 //! retry/reroute/drop counters, same slot-seconds. The loop keeps that
 //! invariant by construction — same event ordering (arrivals before
 //! same-time events, fault events before same-time runtime events), the
-//! same policy scans, and route lookups whose cached results are exactly
-//! what recomputing returns. `tests/proptests.rs` pins it against a
-//! test-only single-broker loop (`tests/reference/`) across random loads,
-//! fault schedules, cold starts, autoscaling, admission caps, and
-//! policies.
+//! same policy scans, and transfer times read from the dense matrix,
+//! which are bit-identical to timing the canonical path.
+//! `tests/proptests.rs` pins it against a test-only single-broker loop
+//! (`tests/reference/`) across random loads, fault schedules, cold
+//! starts, autoscaling, admission caps, and policies.
 
 use crate::broker::{
     Admission, Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, FabricReport, Invocation,
@@ -74,9 +82,10 @@ use crate::registry::{FunctionId, FunctionRegistry, FunctionSpec};
 use continuum_net::{NodeId, RegionPartition};
 use continuum_obs::{HealthPlane, HealthReport, HealthSpec, Telemetry};
 use continuum_placement::Env;
-use continuum_sim::{jain_fairness, EventQueue, FaultKind, Rng, SimDuration, SimTime};
+use continuum_sim::{jain_fairness, FaultKind, Rng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -186,7 +195,7 @@ pub struct SiteFaultEvent {
 /// Site-level fault injection: whole-broker outages with peer takeover.
 #[derive(Debug, Clone)]
 pub struct SiteFaults {
-    /// Timed crash/recover transitions, any order (the queue sorts).
+    /// Timed crash/recover transitions, any order (the calendar sorts).
     pub events: Vec<SiteFaultEvent>,
     /// How long after a site crash the federation notices and a peer
     /// adopts the dead site's work.
@@ -326,9 +335,13 @@ pub struct FederationReport {
     pub batched: u64,
     /// Largest single drain.
     pub max_batch: u64,
-    /// Forwarder route-cache hits.
+    /// Forwarder transfer lookups of a (src, dst) node pair already
+    /// looked up in this run. Equal to the hits of a memoizing route
+    /// cache while the run touches at most 65,536 distinct pairs (past
+    /// that, such a cache clears itself and misses again; this does not).
     pub route_hits: u64,
-    /// Forwarder route-cache misses.
+    /// Forwarder transfer lookups of a (src, dst) node pair not looked up
+    /// before in this run (see `route_hits` for the 65,536-pair caveat).
     pub route_misses: u64,
     /// SLO burn-rate summary and flight-recorder timeline; present iff
     /// [`FederationCfg::health`] was set. Identity checks compare
@@ -353,8 +366,8 @@ struct EpState {
     known_down: bool,
     /// Crash generation, to match detect events to the right outage.
     gen: u32,
-    /// Invocations currently executing here.
-    running: Vec<usize>,
+    /// Invocations currently executing here, with their start times.
+    running: Vec<(usize, SimTime)>,
     /// Invocations killed by a crash, awaiting detection or recovery.
     orphans: Vec<usize>,
     completions: u64,
@@ -415,11 +428,10 @@ impl ScaleState {
 /// Per-invocation federation state.
 #[derive(Clone, Default)]
 struct FedInv {
-    assigned: usize,
+    /// Endpoint of the latest dispatch.
+    assigned: u32,
     epoch: u32,
     attempts: u32,
-    exec_start: SimTime,
-    done_at: Option<SimTime>,
     /// Work displaced by a crash or backing off, awaiting (re-)dispatch:
     /// counts as a reroute (and bumps the epoch) when it next assigns.
     displaced: bool,
@@ -448,39 +460,70 @@ struct SiteState {
     stats: SiteStats,
 }
 
+/// A fabric event. Endpoint, invocation and site indices are `u32`, so
+/// a calendar entry stays at 32 bytes.
 #[derive(Debug)]
 enum FEv {
     /// Request payload landed at `ep` (stale on `epoch` mismatch).
     InputReady {
-        ep: usize,
-        inv: usize,
+        ep: u32,
+        inv: u32,
         epoch: u32,
     },
     /// Execution finished (stale if the attempt was killed).
     ExecDone {
-        ep: usize,
-        inv: usize,
+        ep: u32,
+        inv: u32,
         epoch: u32,
     },
     /// Response payload of an invocation reached its origin.
-    ResponseBack(usize),
-    EpCrash(usize),
-    EpRecover(usize),
+    ResponseBack(u32),
+    EpCrash(u32),
+    EpRecover(u32),
     EpDetect {
-        ep: usize,
+        ep: u32,
         gen: u32,
     },
     /// A displaced invocation's backoff expired; re-forward it.
-    Reroute(usize),
+    Reroute(u32),
     /// Timer drain of one site's ingress buffer.
-    Drain(usize),
-    SiteCrash(usize),
-    SiteRecover(usize),
+    Drain(u32),
+    SiteCrash(u32),
+    SiteRecover(u32),
     /// Site heartbeat expired: adopt the dead site's work on a peer.
     SiteDetect {
-        site: usize,
+        site: u32,
         gen: u32,
     },
+}
+
+/// One calendar entry, ordered by (time, schedule sequence) only and
+/// reversed, so the `BinaryHeap` pops the earliest event first and
+/// equal-time events in the order they were scheduled.
+struct Timed {
+    at: SimTime,
+    seq: u64,
+    ev: FEv,
+}
+
+impl PartialEq for Timed {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Timed {}
+
+impl PartialOrd for Timed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Timed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
 /// The run's counters that are neither per endpoint nor per site.
@@ -522,7 +565,6 @@ struct FedCore<'a> {
     backoff: Option<Backoff>,
     jitter: Rng,
     ep_site: Vec<usize>,
-    brokers: Vec<NodeId>,
     eps: Vec<EpState>,
     invs: Vec<FedInv>,
     st: Vec<SiteState>,
@@ -536,7 +578,14 @@ struct FedCore<'a> {
     /// per-arrival sum over endpoint outstanding exactly.
     in_system: usize,
     fwd: Forwarder,
-    queue: EventQueue<FEv>,
+    /// Pending events; see the module docs on why the fabric keeps its
+    /// own heap.
+    queue: BinaryHeap<Timed>,
+    /// Sequence number of the next scheduled event.
+    next_seq: u64,
+    /// Time of the latest response: events pop in time order, so this is
+    /// the run's last completion.
+    end_time: SimTime,
     health: Option<HealthPlane>,
     /// Inside an admission-saturation episode (one anomaly each).
     saturated: bool,
@@ -556,6 +605,10 @@ impl<'a> FedCore<'a> {
     ) -> FedCore<'a> {
         assert!(!endpoints.is_empty(), "no endpoints");
         assert!(!sites.is_empty(), "no sites");
+        assert!(
+            invocations.len().max(endpoints.len()) <= u32::MAX as usize,
+            "events index invocations and endpoints as u32"
+        );
         let n_ep = endpoints.len();
         let mut ep_site = vec![usize::MAX; n_ep];
         for (s, site) in sites.iter().enumerate() {
@@ -592,15 +645,16 @@ impl<'a> FedCore<'a> {
             backoff,
             jitter: Rng::new(seed),
             ep_site,
-            brokers: sites.iter().map(|s| s.broker).collect(),
             eps: ep_states(endpoints, cfg.autoscale),
             invs: vec![FedInv::default(); invocations.len()],
             site_live: st.iter().map(|s| !s.cand.is_empty()).collect(),
             st,
             site_out: vec![0; sites.len()],
             in_system: 0,
-            fwd: Forwarder::new(),
-            queue: EventQueue::new(),
+            fwd: Forwarder::new(cfg.policy, sites.iter().map(|s| s.broker).collect()),
+            queue: BinaryHeap::new(),
+            next_seq: 0,
+            end_time: SimTime::ZERO,
             health: cfg.health.as_ref().map(HealthPlane::new),
             saturated: false,
             tele: continuum_obs::ambient(),
@@ -619,8 +673,8 @@ impl<'a> FedCore<'a> {
         if let Some(f) = &cfg.faults {
             for ev in f.schedule.events() {
                 let kind = match ev.kind {
-                    FaultKind::EndpointCrash => FEv::EpCrash(ev.target as usize),
-                    FaultKind::EndpointRecover => FEv::EpRecover(ev.target as usize),
+                    FaultKind::EndpointCrash => FEv::EpCrash(ev.target),
+                    FaultKind::EndpointRecover => FEv::EpRecover(ev.target),
                     _ => continue, // device/link faults are not the broker's
                 };
                 assert!(
@@ -628,7 +682,7 @@ impl<'a> FedCore<'a> {
                     "fault schedule targets endpoint {} but only {n_ep} exist",
                     ev.target
                 );
-                core.queue.schedule_at(ev.at, kind);
+                core.schedule(ev.at, kind);
             }
         }
         if let Some(sf) = &cfg.site_faults {
@@ -640,14 +694,21 @@ impl<'a> FedCore<'a> {
                     sites.len()
                 );
                 let kind = if ev.crash {
-                    FEv::SiteCrash(ev.site as usize)
+                    FEv::SiteCrash(ev.site)
                 } else {
-                    FEv::SiteRecover(ev.site as usize)
+                    FEv::SiteRecover(ev.site)
                 };
-                core.queue.schedule_at(ev.at, kind);
+                core.schedule(ev.at, kind);
             }
         }
         core
+    }
+
+    /// Put `ev` on the calendar at `at`.
+    fn schedule(&mut self, at: SimTime, ev: FEv) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(Timed { at, seq, ev });
     }
 
     /// The telemetry sink, when this run traces.
@@ -704,21 +765,22 @@ impl<'a> FedCore<'a> {
     }
 
     fn step(&mut self, now: SimTime, ev: FEv) {
+        let ix = |x: u32| x as usize;
         match ev {
-            FEv::InputReady { ep, inv, epoch } => self.input_ready(ep, inv, epoch, now),
-            FEv::ExecDone { ep, inv, epoch } => self.exec_done(ep, inv, epoch, now),
-            FEv::ResponseBack(inv) => self.response_back(inv, now),
-            FEv::EpCrash(ep) => self.ep_crash(ep, now),
-            FEv::EpDetect { ep, gen } => self.ep_detect(ep, gen, now),
-            FEv::EpRecover(ep) => self.ep_recover(ep, now),
-            FEv::Reroute(i) => self.reroute(i, now),
+            FEv::InputReady { ep, inv, epoch } => self.input_ready(ix(ep), ix(inv), epoch, now),
+            FEv::ExecDone { ep, inv, epoch } => self.exec_done(ix(ep), ix(inv), epoch, now),
+            FEv::ResponseBack(inv) => self.response_back(ix(inv), now),
+            FEv::EpCrash(ep) => self.ep_crash(ix(ep), now),
+            FEv::EpDetect { ep, gen } => self.ep_detect(ix(ep), gen, now),
+            FEv::EpRecover(ep) => self.ep_recover(ix(ep), now),
+            FEv::Reroute(i) => self.reroute(ix(i), now),
             FEv::Drain(s) => {
-                self.st[s].drain_pending = false;
-                self.drain(s, now);
+                self.st[ix(s)].drain_pending = false;
+                self.drain(ix(s), now);
             }
-            FEv::SiteCrash(s) => self.site_crash(s, now),
-            FEv::SiteDetect { site, gen } => self.site_detect(site, gen, now),
-            FEv::SiteRecover(s) => self.site_recover(s, now),
+            FEv::SiteCrash(s) => self.site_crash(ix(s), now),
+            FEv::SiteDetect { site, gen } => self.site_detect(ix(site), gen, now),
+            FEv::SiteRecover(s) => self.site_recover(ix(s), now),
         }
     }
 
@@ -727,10 +789,8 @@ impl<'a> FedCore<'a> {
     fn choose_site(&mut self, i: usize) -> Option<usize> {
         self.fwd.choose_site(
             self.env,
-            self.cfg.policy,
             &self.site_live,
             &self.site_out,
-            &self.brokers,
             self.invocations[i].origin,
             self.spec(i).in_bytes,
         )
@@ -746,8 +806,7 @@ impl<'a> FedCore<'a> {
             self.drain(s, now);
         } else if !site.drain_pending {
             site.drain_pending = true;
-            self.queue
-                .schedule_at(now + self.cfg.drain_every, FEv::Drain(s));
+            self.schedule(now + self.cfg.drain_every, FEv::Drain(s as u32));
         }
     }
 
@@ -790,8 +849,8 @@ impl<'a> FedCore<'a> {
     }
 
     /// Pick an endpoint of site `s` for invocation `i` among the site's
-    /// routable candidates under the run's policy; `None` iff it has none. Route lookups go through
-    /// the forwarder's cache (bit-identical results, amortized cost).
+    /// routable candidates under the run's policy; `None` iff it has
+    /// none.
     fn pick_in_site(&mut self, s: usize, i: usize, now: SimTime) -> Option<usize> {
         let (spec, origin) = (self.spec(i), self.invocations[i].origin);
         let (env, endpoints, eps, fwd) = (self.env, self.endpoints, &self.eps, &mut self.fwd);
@@ -839,7 +898,7 @@ impl<'a> FedCore<'a> {
     /// payload.
     fn assign(&mut self, i: usize, ep: usize, now: SimTime) {
         let (spec, origin) = (self.spec(i), self.invocations[i].origin);
-        self.invs[i].assigned = ep;
+        self.invs[i].assigned = ep as u32;
         self.eps[ep].outstanding += 1;
         self.in_system += 1;
         self.site_out[self.ep_site[ep]] += 1;
@@ -859,8 +918,14 @@ impl<'a> FedCore<'a> {
             .expect("non-empty lanes");
         lanes[k] = (now + tin).max(lanes[k]) + exec;
         let epoch = self.invs[i].epoch;
-        self.queue
-            .schedule_at(now + tin, FEv::InputReady { ep, inv: i, epoch });
+        self.schedule(
+            now + tin,
+            FEv::InputReady {
+                ep: ep as u32,
+                inv: i as u32,
+                epoch,
+            },
+        );
         if let Some(t) = self.tracer() {
             // Arrow tail of the cross-site forwarder hop: picked up by the
             // matching FlowEnd at `InputReady`.
@@ -890,7 +955,7 @@ impl<'a> FedCore<'a> {
             inv.attempts += 1;
             inv.displaced = true;
             self.tally.retries += 1;
-            self.queue.schedule_at(now + delay, FEv::Reroute(i));
+            self.schedule(now + delay, FEv::Reroute(i as u32));
         }
     }
 
@@ -958,11 +1023,16 @@ impl<'a> FedCore<'a> {
                 }
                 e.warm_until = (now + exec) + cs.keep_warm;
             }
-            self.invs[inv].exec_start = now;
-            self.eps[ep].running.push(inv);
+            self.eps[ep].running.push((inv, now));
             let epoch = self.invs[inv].epoch;
-            self.queue
-                .schedule_at(now + exec, FEv::ExecDone { ep, inv, epoch });
+            self.schedule(
+                now + exec,
+                FEv::ExecDone {
+                    ep: ep as u32,
+                    inv: inv as u32,
+                    epoch,
+                },
+            );
         }
     }
 
@@ -1014,7 +1084,7 @@ impl<'a> FedCore<'a> {
         let pos = e
             .running
             .iter()
-            .position(|&r| r == inv)
+            .position(|&(r, _)| r == inv)
             .expect("finished invocation is running");
         e.running.swap_remove(pos);
         let spec = self.spec(inv);
@@ -1028,7 +1098,7 @@ impl<'a> FedCore<'a> {
                 spec.out_bytes,
             )
             .expect("disconnected topology");
-        self.queue.schedule_at(now + tout, FEv::ResponseBack(inv));
+        self.schedule(now + tout, FEv::ResponseBack(inv as u32));
         self.try_start(ep, now);
         if self.cfg.autoscale.is_some() && self.eps[ep].waiting.is_empty() {
             let floor = floor_slots(self.cfg.autoscale, &self.endpoints[ep]);
@@ -1038,11 +1108,11 @@ impl<'a> FedCore<'a> {
     }
 
     fn response_back(&mut self, inv: usize, now: SimTime) {
-        let ep = self.invs[inv].assigned;
+        let ep = self.invs[inv].assigned as usize;
         self.release(ep);
         self.eps[ep].completions += 1;
         self.st[self.ep_site[ep]].stats.completions += 1;
-        self.invs[inv].done_at = Some(now);
+        self.end_time = now;
         let latency = now.since(self.invocations[inv].arrival);
         self.latencies.push(latency.as_secs_f64());
         if let Some(h) = self.health.as_mut() {
@@ -1065,7 +1135,7 @@ impl<'a> FedCore<'a> {
             .expect("crash event implies faults")
             .heartbeat;
         let gen = self.eps[ep].gen;
-        self.queue.schedule_at(now + hb, FEv::EpDetect { ep, gen });
+        self.schedule(now + hb, FEv::EpDetect { ep: ep as u32, gen });
     }
 
     /// Kill endpoint `ep`: its running attempts go stale and wait as
@@ -1074,8 +1144,8 @@ impl<'a> FedCore<'a> {
         let e = &mut self.eps[ep];
         e.up = false;
         e.gen += 1; // invalidates any pending endpoint detect
-        for inv in std::mem::take(&mut e.running) {
-            self.tally.lost_work_s += now.since(self.invs[inv].exec_start).as_secs_f64();
+        for (inv, start) in std::mem::take(&mut e.running) {
+            self.tally.lost_work_s += now.since(start).as_secs_f64();
             self.invs[inv].epoch += 1;
             e.orphans.push(inv);
         }
@@ -1173,8 +1243,13 @@ impl<'a> FedCore<'a> {
             .expect("site crash implies site faults")
             .heartbeat;
         let gen = self.st[s].gen;
-        self.queue
-            .schedule_at(now + hb, FEv::SiteDetect { site: s, gen });
+        self.schedule(
+            now + hb,
+            FEv::SiteDetect {
+                site: s as u32,
+                gen,
+            },
+        );
     }
 
     fn site_detect(&mut self, s: usize, gen: u32, now: SimTime) {
@@ -1274,13 +1349,7 @@ impl<'a> FedCore<'a> {
     /// Settle slot-seconds, build the report, and publish the run's
     /// metrics to the ambient sink.
     fn finish(mut self) -> FederationReport {
-        let tally = &self.tally;
-        let end_time = self
-            .invs
-            .iter()
-            .filter_map(|s| s.done_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        let (tally, end_time) = (&self.tally, self.end_time);
         let completed = self.latencies.len() as u64;
         debug_assert_eq!(
             completed + tally.dropped + tally.rejected,
@@ -1316,7 +1385,7 @@ impl<'a> FedCore<'a> {
             rejected: tally.rejected,
             lost_work_s: tally.lost_work_s,
         };
-        let cache = self.fwd.cache_stats();
+        let (route_hits, route_misses) = self.fwd.cache_stats();
         let health = self.health.map(|h| h.finish(end_time.0));
         if let Some(t) = self.tele.as_deref() {
             let m = &t.metrics;
@@ -1378,8 +1447,8 @@ impl<'a> FedCore<'a> {
             drains: tally.drains,
             batched: tally.batched,
             max_batch: tally.max_batch,
-            route_hits: cache.hits,
-            route_misses: cache.misses,
+            route_hits,
+            route_misses,
             health,
         }
     }
@@ -1410,13 +1479,13 @@ pub fn run_federation(
     let mut arrivals = order.into_iter().peekable();
     loop {
         let due = arrivals.peek().map(|&i| (i, invocations[i].arrival));
-        match (due, core.queue.peek_time()) {
+        match (due, core.queue.peek().map(|t| t.at)) {
             (Some((i, at)), q) if q.is_none_or(|q| at <= q) => {
                 arrivals.next();
                 core.arrive(i, at);
             }
             _ => match core.queue.pop() {
-                Some((now, ev)) => core.step(now, ev),
+                Some(Timed { at, ev, .. }) => core.step(at, ev),
                 None => break,
             },
         }

@@ -6,8 +6,8 @@ mod reference;
 
 use continuum_fabric::{
     endpoints_on, run_fabric, run_federation, single_site, sites_from_partition, Admission,
-    Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, FederationCfg, FunctionRegistry,
-    Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
+    Autoscale, Backoff, ColdStart, Endpoint, EndpointFaults, FederationCfg, FunctionId,
+    FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
 };
 use continuum_model::standard_fleet;
 use continuum_net::{continuum, continuum_regions, ContinuumSpec, RegionPartition, Tier};
@@ -429,7 +429,10 @@ fn fog_cloud_workload(
 #[test]
 fn one_site_batch_one_is_bit_identical_to_single_broker() {
     let (env, partition, sensors) = partitioned_world();
-    let (registry, endpoints, invocations) = fog_cloud_workload(&env, &sensors, 300, 120.0, 42);
+    let (registry, endpoints, mut invocations) = fog_cloud_workload(&env, &sensors, 300, 120.0, 42);
+    // One invocation of a function the registry does not know: both
+    // loops drop it on arrival.
+    invocations[150].function = FunctionId(registry.len() as u32 + 3);
     for policy in [
         RoutingPolicy::RoundRobin,
         RoutingPolicy::LeastOutstanding,
@@ -444,6 +447,7 @@ fn one_site_batch_one_is_bit_identical_to_single_broker() {
             let fed = run_federation(&env, &registry, &endpoints, &sites, &invocations, &cfg);
             assert_eq!(fed.fabric, expected, "{}", policy.label());
         }
+        assert_eq!(expected.dropped, 1, "{}", policy.label());
     }
 }
 

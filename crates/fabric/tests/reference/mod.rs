@@ -257,14 +257,16 @@ impl Broker<'_> {
                         return;
                     }
                 }
-                let spec = registry.get(self.invocations[i].function);
-                self.route(i, spec, now, false);
-            }
-            Ev::Reroute(i) => {
+                // An id the registry does not know is dropped here, so
+                // a re-route always finds its spec.
                 let Some(spec) = registry.try_get(self.invocations[i].function) else {
                     self.dropped += 1;
                     return;
                 };
+                self.route(i, spec, now, false);
+            }
+            Ev::Reroute(i) => {
+                let spec = registry.get(self.invocations[i].function);
                 self.route(i, spec, now, true);
             }
             Ev::InputReady { ep, inv, epoch } => {
