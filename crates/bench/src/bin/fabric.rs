@@ -17,6 +17,10 @@
 //! and 4 sites: tail-latency inflation vs the fault-free run, adopted
 //! work, and drops.
 //!
+//! Each dispatch and failure arm also carries a `work` object of exact
+//! counts (drains, batched, route lookups, reroutes, retries) that the
+//! regression guard fails on as soon as one rises.
+//!
 //! Run from the workspace root:
 //!
 //! ```text
@@ -29,7 +33,8 @@
 
 use continuum_fabric::{
     endpoints_on, run_federation, sites_from_partition, Admission, Backoff, Endpoint, FabricReport,
-    FederationCfg, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent, SiteFaults,
+    FederationCfg, FederationReport, FunctionRegistry, Invocation, RoutingPolicy, SiteFaultEvent,
+    SiteFaults,
 };
 use continuum_model::{standard_fleet, DeviceClass};
 use continuum_net::{continuum, continuum_regions, ContinuumSpec, NodeId, RegionPartition, Tier};
@@ -133,6 +138,18 @@ fn workload(
     (registry, invocations)
 }
 
+/// The run's exact, deterministic work counts, which
+/// `scripts/bench_regress.py` gates against the committed smoke report.
+fn work(rep: &FederationReport) -> serde_json::Value {
+    json!({
+        "drains": rep.drains,
+        "batched": rep.batched,
+        "route_lookups": rep.route_hits + rep.route_misses,
+        "reroutes": rep.fabric.reroutes,
+        "retries": rep.fabric.retries,
+    })
+}
+
 /// Panic unless every invocation completed, dropped, or was rejected
 /// exactly once — checked before an arm is timed.
 fn assert_conserved(rep: &FabricReport, n: usize, arm: &str) {
@@ -192,6 +209,7 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
                 "max_batch": rep.max_batch,
                 "route_hit_rate": rep.route_hits as f64
                     / (rep.route_hits + rep.route_misses).max(1) as f64,
+                "work": work(&rep),
             }));
         }
     }
@@ -210,7 +228,7 @@ fn bench_dispatch(w: &World, smoke: bool, reps: usize) -> serde_json::Value {
              only *when* dispatch work happens.",
             "Throughput is invocations per wall-second of simulation: the \
              federation pays an O(1) maintained in-system count, a cached \
-             per-site candidate list, a cached route probe, and amortizes \
+             per-site candidate list, a dense transfer-matrix read, and amortizes \
              drain bookkeeping across the batch.",
             "Mean batch occupancy stays below the configured cap at moderate \
              load because the drain-timer fires before the buffer fills; \
@@ -316,6 +334,7 @@ fn bench_failure(w: &World, smoke: bool) -> serde_json::Value {
             "clean_p99_s": clean_p99,
             "faulty_p99_s": faulty_p99,
             "p99_inflation": if clean_p99 > 0.0 { faulty_p99 / clean_p99 } else { 0.0 },
+            "work": work(&faulty),
         }));
     }
     json!({

@@ -9,9 +9,10 @@ whose committed copies are smoke runs too. Two kinds of key are gated:
 - every numeric key containing "speedup" (a timed ratio, see below);
 - every numeric leaf under a `work` object: an exact, deterministic work
   count (e.g. the runtime bench's flow-engine `recomputed_flows` and
-  `rate_changes`). It fails as soon as it rises above its committed
-  value. The count cannot flap, so a change that legitimately adds work
-  must re-bless the committed smoke file.
+  `rate_changes`, or the fabric bench's drains and route lookups). It
+  fails as soon as it rises above its committed value. The count cannot
+  flap, so a change that legitimately adds work must re-bless the
+  committed smoke file.
 
 CI smoke runs are short and the runners are noisy, so this is a
 guard-rail, not a benchmark: a fresh speedup may wobble below the
