@@ -4,10 +4,10 @@ use continuum_model::standard_fleet;
 use continuum_net::{continuum, ContinuumSpec};
 use continuum_placement::{
     evaluate, AnnealingPlacer, CpopPlacer, DeltaEvaluator, DeviceTimeline, Env, GreedyEftPlacer,
-    HeftPlacer, PeftPlacer, Placement, Placer, WeightedObjective,
+    HeftPlacer, PeftPlacer, Placement, Placer, RandomPlacer, WeightedObjective,
 };
 use continuum_sim::{Rng, SimDuration, SimTime};
-use continuum_workflow::{layered_random, LayeredSpec, TaskId};
+use continuum_workflow::{layered_random, Dag, LayeredSpec, TaskId};
 use proptest::prelude::*;
 
 proptest! {
@@ -156,40 +156,6 @@ proptest! {
         prop_assert_eq!(place_all(1), place_all(3));
     }
 
-    /// After any sequence of single-task moves — some snapshot-undone right
-    /// after — the delta evaluator's schedule and metrics are bit-identical
-    /// to a from-scratch replay of the same assignment.
-    #[test]
-    fn delta_evaluator_matches_full_replay(
-        seed in any::<u64>(),
-        moves in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..12),
-    ) {
-        let built = continuum(&ContinuumSpec::default());
-        let env = Env::new(built.topology.clone(), standard_fleet(&built));
-        let mut rng = Rng::new(seed);
-        let dag = layered_random(&mut rng, &LayeredSpec { tasks: 30, ..Default::default() });
-        let init = HeftPlacer::default().place(&env, &dag);
-        let mut de = DeltaEvaluator::new(&env, &dag, &init);
-        for &(a, b, undo) in &moves {
-            let t = TaskId(a % dag.len() as u32);
-            if dag.task(t).constraints.pinned_node.is_some() {
-                continue;
-            }
-            let feas = env.feasible_devices(dag.task(t));
-            let dev = feas[b as usize % feas.len()];
-            let was = de.assignment()[t.0 as usize];
-            de.move_task(t, dev);
-            if undo && dev != was {
-                de.undo_last_move();
-            }
-        }
-        let sched = de.schedule();
-        let (oracle_sched, oracle_m) = evaluate(&env, &dag, &sched.placement);
-        prop_assert_eq!(&sched.start, &oracle_sched.start);
-        prop_assert_eq!(&sched.finish, &oracle_sched.finish);
-        prop_assert_eq!(de.metrics(), oracle_m);
-    }
-
     /// The delta-cost annealer and the clone-and-replay oracle walk the
     /// exact same Metropolis trajectory: identical final placements, for
     /// arbitrary objective weights and DAGs.
@@ -235,6 +201,76 @@ proptest! {
                 let (src, dst) = (continuum_net::NodeId(s), continuum_net::NodeId(d));
                 let via_path = env.path(src, dst).map(|p| p.transfer_time(bytes));
                 prop_assert_eq!(env.transfer_time(src, dst, bytes), via_path);
+            }
+        }
+    }
+}
+
+/// Assert `de`'s schedule and metrics equal a full replay of its assignment.
+fn assert_matches_replay(env: &Env, dag: &Dag, de: &mut DeltaEvaluator, step: usize, what: &str) {
+    let sched = de.schedule();
+    let (oracle_sched, oracle_m) = evaluate(env, dag, &sched.placement);
+    assert_eq!(sched.start, oracle_sched.start, "start after {what} {step}");
+    assert_eq!(
+        sched.finish, oracle_sched.finish,
+        "finish after {what} {step}"
+    );
+    assert_eq!(de.metrics(), oracle_m, "metrics after {what} {step}");
+}
+
+// Cheap per case (a small continuum, a 60-task DAG), so many cases: the
+// delta evaluator's pruning is exact only if it handles timeline
+// coincidences that few move sequences produce.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// After every single-task move and every snapshot undo, the delta
+    /// evaluator's schedule and metrics are bit-identical to a from-scratch
+    /// replay of the same assignment. Starts come from HEFT, from
+    /// `RandomPlacer`, and from a random placement onto the first `pool`
+    /// feasible devices (congested timelines full of gaps); moves draw
+    /// their target from the same pool. Widths run from chain-like to
+    /// wide, and item sizes from 100 B (latency-bound transfers: tasks
+    /// start at their ready time and share endpoints with their
+    /// neighbours) to 100 MB.
+    #[test]
+    fn delta_evaluator_matches_full_replay(
+        seed in any::<u64>(),
+        shape in (3usize..41, 0u8..3, 1usize..6, proptest::sample::select(&[1e2, 1e5, 1e8])),
+        moves in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..64),
+    ) {
+        let (width, start, pool, bytes) = shape;
+        let built = continuum(&ContinuumSpec::default());
+        let env = Env::new(built.topology.clone(), standard_fleet(&built));
+        let mut rng = Rng::new(seed);
+        let dag = layered_random(
+            &mut rng,
+            &LayeredSpec { tasks: 60, width, bytes_mu: f64::ln(bytes), ..Default::default() },
+        );
+        let pick = |t: TaskId, b: usize| {
+            let feas = env.feasible_devices(dag.task(t));
+            feas[b % feas.len().min(pool)]
+        };
+        let init = match start {
+            0 => HeftPlacer::default().place(&env, &dag),
+            1 => RandomPlacer::new(seed).place(&env, &dag),
+            _ => Placement {
+                assignment: dag.tasks().iter().map(|t| pick(t.id, rng.index(pool))).collect(),
+            },
+        };
+        let mut de = DeltaEvaluator::new(&env, &dag, &init);
+        for (step, &(a, b, undo)) in moves.iter().enumerate() {
+            let t = TaskId(a % dag.len() as u32);
+            if dag.task(t).constraints.pinned_node.is_some() {
+                continue;
+            }
+            let dev = pick(t, b as usize);
+            let was = de.assignment()[t.0 as usize];
+            de.move_task(t, dev);
+            assert_matches_replay(&env, &dag, &mut de, step, "move");
+            if undo && dev != was {
+                de.undo_last_move();
+                assert_matches_replay(&env, &dag, &mut de, step, "undo");
             }
         }
     }
