@@ -26,7 +26,7 @@ use continuum_core::prelude::*;
 use continuum_model::standard_fleet;
 use continuum_net::ContinuumSpec;
 use continuum_placement::{
-    metrics_from_parts, DeviceTimeline, Env, OnlinePlacer, WeightedObjective,
+    metrics_from_parts, DeltaEvaluator, DeviceTimeline, Env, OnlinePlacer, WeightedObjective,
 };
 use continuum_sim::{Rng, SimDuration, SimTime};
 use continuum_workflow::{open_loop_arrivals, ArrivalProcess, OpenLoopSpec};
@@ -226,12 +226,39 @@ fn seed_anneal(
         .expect("at least one restart")
 }
 
+/// Tasks the delta evaluator recomputes over `moves` seeded random moves
+/// from the HEFT placement, about half of them undone: an exact count of
+/// delta scoring's work, independent of timing and of the Metropolis
+/// trajectory.
+fn delta_recomputed(env: &Env, dag: &Dag, moves: u32) -> u64 {
+    let init = HeftPlacer::default().place(env, dag);
+    let mut de = DeltaEvaluator::new(env, dag, &init);
+    let movable: Vec<TaskId> = dag
+        .tasks()
+        .iter()
+        .filter(|t| t.constraints.pinned_node.is_none())
+        .map(|t| t.id)
+        .collect();
+    let mut rng = Rng::new(0xDE17A);
+    for _ in 0..moves {
+        let t = movable[rng.index(movable.len())];
+        let dev = *rng.choose(&env.feasible_devices(dag.task(t)));
+        let was = de.assignment()[t.0 as usize];
+        de.move_task(t, dev);
+        if dev != was && rng.index(2) == 0 {
+            de.undo_last_move();
+        }
+    }
+    de.recomputed
+}
+
 /// The annealing move loop, three ways on identical trajectories: the
 /// seed-era engine (clone + full replay with per-probe route walks and
 /// quadratic slot scans), the current full-recompute oracle (replay on
 /// the transfer matrix and sweep slots), and delta-cost scoring. All
 /// three final placements are asserted equal — the speedup is not bought
-/// with a different search trajectory.
+/// with a different search trajectory. `work.delta_recomputed` is
+/// [`delta_recomputed`] over one restart's worth of moves on the same DAG.
 fn bench_anneal_moves(smoke: bool) -> serde_json::Value {
     let spec = ContinuumSpec {
         fogs: 8,
@@ -315,6 +342,7 @@ fn bench_anneal_moves(smoke: bool) -> serde_json::Value {
         "delta_us_per_move": delta_ms * 1e3 / moves,
         "speedup": seed_ms / delta_ms,
         "speedup_vs_full_recompute": oracle_ms / delta_ms,
+        "work": json!({ "delta_recomputed": delta_recomputed(&env, &dag, delta.iters) }),
     })
 }
 
@@ -438,6 +466,9 @@ fn main() {
              (already matrix+sweep) full-replay oracle.",
             "anneal_moves cross-checks that all three arms — seed-style, full-recompute, \
              and delta — return identical placements before timing any of them.",
+            "anneal_moves.work.delta_recomputed counts the tasks DeltaEvaluator recomputes \
+             over a fixed seeded move/undo sequence on the arm's DAG; the regress guard \
+             fails when it rises above the committed value.",
             "The candidate_scan arm (HEFT with rayon-split device candidate scans vs \
              the serial scan, 527 devices x 120 tasks) was deleted with the parallel \
              scan itself: on a 2-CPU Intel Xeon container the parallel scan ran at \

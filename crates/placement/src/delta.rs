@@ -14,26 +14,48 @@
 //! [`crate::objective::evaluate`] would produce for the current assignment
 //! — not approximately, but bit-for-bit. `evaluate` commits tasks in
 //! topological order, so a task's (start, finish) depends on exactly two
-//! things: its predecessors' finish times (and nodes), and the reservations
-//! of earlier-committed tasks on its own device. A move therefore dirties
+//! things: its ready time (its predecessors' finish times and nodes), and
+//! the reservations of earlier-committed tasks on its own device — its
+//! *prefix view* of the device timeline. A move of task `t` from device
+//! `a` to `b` dirties `t` itself; dirty tasks are retracted from their
+//! timeline and recomputed in ascending topological position, so every
+//! earlier task is final when a task is recomputed. Three rules decide
+//! what else becomes dirty:
 //!
-//! 1. the moved task itself,
-//! 2. every task on the *old* and *new* device with a later topological
-//!    position (their slot search saw a timeline that has now changed), and
-//! 3. transitively, the successors of any task whose (start, finish)
-//!    actually changed — plus their own device suffixes, per rule 2.
+//! 1. **Successors.** A task whose (start, finish) changed — and `t`,
+//!    whose node changed — dirties its successors (their ready time read
+//!    it).
+//! 2. **Visibility.** A dirty task `u` with ready time `r` and duration
+//!    `dur` searches its device's timeline *as it stands*: clean
+//!    later-topo tasks are still reserved on it, so their usage sits on
+//!    top of `u`'s prefix view. If the slot `c` found is `r`, it is `u`'s
+//!    true slot (no timeline starts `u` before its ready time).
+//!    Otherwise every still-reserved later-topo task whose interval meets
+//!    `[r, c + dur]` is retracted (dirtied) and the search runs again,
+//!    until nothing is retracted. The search then reads, over the window
+//!    it inspects, exactly the usage of the prefix view, so it returns
+//!    the slot a full replay finds; and that slot is free on the full
+//!    timeline, so reserving it never over-reserves.
+//! 3. **Change gating.** When a recomputed task's interval changes — and
+//!    when `t` leaves `a` for `b` — a clean later-topo task `v` on the
+//!    same device changes only if its prefix view changed where its slot
+//!    search looks. It is dirtied if an *added* interval meets
+//!    `[start_v, finish_v]` (its slot may no longer fit), or if a
+//!    *removed* interval meets `[ready_v, finish_v]` and
+//!    `start_v > ready_v` (an earlier slot may have opened). Added usage
+//!    cannot make an earlier candidate feasible, and removed usage cannot
+//!    move a task that already starts at its ready time.
 //!
-//! Dirty tasks are unreserved up front, then recomputed in ascending
-//! topological position: when task `u` is recomputed, every earlier task is
-//! final and every later task on `u`'s device has been retracted, so the
-//! slot search sees exactly the timeline the full replay would have shown
-//! it. Clean tasks are untouched by construction. Scoring reuses one set of
+//! A clean task's predecessors and prefix view are therefore unchanged
+//! where its result depends on them, so its committed slot is still the
+//! one a full replay finds. Every new dirty task is later in topological
+//! order than the task that dirtied it, so the ascending agenda
+//! recomputes each task at most once per move. Scoring reuses one set of
 //! meters across moves but runs the code a full evaluation
 //! ([`crate::objective::metrics_from_parts`]) runs, so scores (and hence
-//! annealing accept/reject decisions) are identical to the clone-and-replay
-//! oracle. The proptests
-//! in `tests/proptests.rs` check both equivalences on random move
-//! sequences.
+//! annealing accept/reject decisions) are identical to the
+//! clone-and-replay oracle. The proptests in `tests/proptests.rs` check
+//! both equivalences after every move and undo of random move sequences.
 //!
 //! Every move also journals the state it overwrites — the dirtied tasks'
 //! schedule entries and a copy of each touched timeline, written into
@@ -75,9 +97,11 @@ pub struct DeltaEvaluator<'e> {
     /// Epoch-stamped dirty flags (one epoch per move; no per-move clears).
     dirty: Vec<u64>,
     epoch: u64,
-    /// Undo log for the last move: `(task, start, finish, need)` of every
-    /// task dirtied, captured before its state changed.
-    saved_tasks: Vec<(u32, SimTime, SimTime, u32)>,
+    /// Ready time per task: when its last input arrives on its device.
+    ready: Vec<SimTime>,
+    /// Undo log for the last move: `(task, start, finish, ready, need)` of
+    /// every task dirtied, captured before its state changed.
+    saved_tasks: Vec<(u32, SimTime, SimTime, SimTime, u32)>,
     /// Undo log: pre-move copies of every timeline the move mutated, in
     /// `saved_timelines[..n_saved]`; later entries keep their allocations
     /// for reuse.
@@ -87,10 +111,10 @@ pub struct DeltaEvaluator<'e> {
     tl_saved: Vec<u64>,
     /// `(task, old device)` of the last state-changing move.
     last_move: Option<(u32, DeviceId)>,
-    /// Work queue and `mark` stack, kept between moves for their
-    /// allocations (both are empty outside `move_task`).
+    /// Work queue and the tasks a rule picked for marking, kept between
+    /// moves for their allocations (both are empty outside `move_task`).
     agenda: Agenda,
-    stack: Vec<u32>,
+    picked: Vec<u32>,
     /// Meters reused by every [`Self::metrics`] call.
     scratch: MetricsScratch,
     /// Tasks recomputed across all moves so far (work counter for benches).
@@ -129,7 +153,7 @@ impl<'e> DeltaEvaluator<'e> {
             })
             .collect();
 
-        DeltaEvaluator {
+        let mut de = DeltaEvaluator {
             env,
             dag,
             timelines: est.timelines,
@@ -144,6 +168,7 @@ impl<'e> DeltaEvaluator<'e> {
             order,
             pos,
             on_dev,
+            ready: vec![SimTime::ZERO; n],
             dirty: vec![0; n],
             epoch: 0,
             saved_tasks: Vec::new(),
@@ -152,10 +177,14 @@ impl<'e> DeltaEvaluator<'e> {
             tl_saved: vec![0; env.fleet.len()],
             last_move: None,
             agenda: Agenda::new(),
-            stack: Vec::new(),
+            picked: Vec::new(),
             scratch: MetricsScratch::new(&env.fleet),
             recomputed: 0,
+        };
+        for i in 0..n {
+            de.ready[i] = de.ready_time(TaskId(i as u32));
         }
+        de
     }
 
     /// Current assignment (always consistent with the schedule arrays).
@@ -205,13 +234,10 @@ impl<'e> DeltaEvaluator<'e> {
         self.last_move = Some((t.0, old_dev));
         let mut agenda = std::mem::take(&mut self.agenda);
 
-        // Mark t while it is still assigned (and reserved) on the old
-        // device: this retracts its reservation from the right timeline
-        // and the suffix closure dirties the old device's later tasks.
+        // Retract t while it is still assigned (and reserved) on the old
+        // device, then flip membership and assignment.
+        let left = (self.start[ti], self.finish[ti]);
         self.mark(t.0, &mut agenda);
-
-        // Then flip membership and assignment, and dirty the new device's
-        // suffix — their slot searches will see t's incoming reservation.
         let old_list = &mut self.on_dev[old_dev.0 as usize];
         old_list.remove(
             old_list
@@ -224,23 +250,29 @@ impl<'e> DeltaEvaluator<'e> {
         let at = new_list.partition_point(|&x| pos[x as usize] < pos[ti]);
         new_list.insert(at, t.0);
         self.assignment[ti] = new_dev;
-        // Marking the first later task closes over the rest.
-        if let Some(&v) = self.on_dev[new_dev.0 as usize].get(at + 1) {
-            self.mark(v, &mut agenda);
-        }
+        // Later tasks on the old device lose t's interval.
+        self.gate(old_dev, t.0, Some(left), None, &mut agenda);
 
         let mut recomputed = 0usize;
         while let Some(Reverse(p)) = agenda.pop() {
             let u = self.order[p as usize];
-            let changed = self.recompute(u);
+            let ui = u.0 as usize;
+            let was = (self.start[ui], self.finish[ui]);
+            let now = self.recompute(u, &mut agenda);
             recomputed += 1;
-            // The moved task's successors re-read their input's source
-            // node even when its finish is unchanged.
-            if changed || u == t {
-                let dag = self.dag;
-                for s in dag.succs(u) {
-                    self.mark(s.0, &mut agenda);
-                }
+            if u == t {
+                // Later tasks on the new device gain t's interval, and
+                // t's successors re-read their input's source node even
+                // when its finish is unchanged.
+                self.gate(new_dev, t.0, None, Some(now), &mut agenda);
+            } else if now != was {
+                self.gate(self.assignment[ui], u.0, Some(was), Some(now), &mut agenda);
+            } else {
+                continue;
+            }
+            let dag = self.dag;
+            for s in dag.succs(u) {
+                self.mark(s.0, &mut agenda);
             }
         }
         self.agenda = agenda;
@@ -263,10 +295,11 @@ impl<'e> DeltaEvaluator<'e> {
             std::mem::swap(&mut self.timelines[*d as usize], tl);
         }
         self.n_saved = 0;
-        for &(v, s, f, need) in &self.saved_tasks {
+        for &(v, s, f, r, need) in &self.saved_tasks {
             let vi = v as usize;
             self.start[vi] = s;
             self.finish[vi] = f;
+            self.ready[vi] = r;
             self.need[vi] = need;
         }
         self.saved_tasks.clear();
@@ -301,48 +334,77 @@ impl<'e> DeltaEvaluator<'e> {
         }
     }
 
-    /// Dirty `u`: retract its reservation, queue it, and close over every
-    /// later task on its device (whose slot search depended on it).
+    /// Dirty `u`: retract its reservation and queue it. A no-op if `u` is
+    /// already dirty this move.
     fn mark(&mut self, u: u32, agenda: &mut Agenda) {
-        let mut stack = std::mem::take(&mut self.stack);
-        stack.push(u);
-        while let Some(v) = stack.pop() {
-            let vi = v as usize;
-            if self.dirty[vi] == self.epoch {
-                continue;
-            }
-            self.dirty[vi] = self.epoch;
-            self.saved_tasks
-                .push((v, self.start[vi], self.finish[vi], self.need[vi]));
-            let dur = self.finish[vi].since(self.start[vi]);
-            self.save_timeline(self.assignment[vi].0 as usize);
-            self.timelines[self.assignment[vi].0 as usize].unreserve(
-                self.start[vi],
-                dur,
-                self.need[vi],
-            );
-            agenda.push(Reverse(self.pos[vi]));
-            let dlist = &self.on_dev[self.assignment[vi].0 as usize];
-            let from = dlist.partition_point(|&x| self.pos[x as usize] <= self.pos[vi]);
-            stack.extend(
-                dlist[from..]
-                    .iter()
-                    .filter(|&&w| self.dirty[w as usize] != self.epoch),
-            );
+        let ui = u as usize;
+        if self.dirty[ui] == self.epoch {
+            return;
         }
-        self.stack = stack;
+        self.dirty[ui] = self.epoch;
+        self.saved_tasks.push((
+            u,
+            self.start[ui],
+            self.finish[ui],
+            self.ready[ui],
+            self.need[ui],
+        ));
+        let d = self.assignment[ui].0 as usize;
+        self.save_timeline(d);
+        self.timelines[d].unreserve(
+            self.start[ui],
+            self.finish[ui].since(self.start[ui]),
+            self.need[ui],
+        );
+        agenda.push(Reverse(self.pos[ui]));
     }
 
-    /// Re-commit `u` on its (current) device; true if (start, finish)
-    /// changed. Mirrors `Estimator::eft` + `commit` with insertion slots.
-    fn recompute(&mut self, u: TaskId) -> bool {
-        let ui = u.0 as usize;
-        let dev = self.assignment[ui];
-        let node = self.env.node_of(dev);
-        let task = self.dag.task(u);
+    /// Mark every clean task on `dev` later in topological order than `u`
+    /// for which `hit(ready, start, finish)` holds; true if any was.
+    fn mark_later(
+        &mut self,
+        dev: DeviceId,
+        u: u32,
+        agenda: &mut Agenda,
+        hit: impl Fn(SimTime, SimTime, SimTime) -> bool,
+    ) -> bool {
+        let mut picked = std::mem::take(&mut self.picked);
+        let list = &self.on_dev[dev.0 as usize];
+        let from = list.partition_point(|&x| self.pos[x as usize] <= self.pos[u as usize]);
+        picked.extend(list[from..].iter().filter(|&&w| {
+            let wi = w as usize;
+            self.dirty[wi] != self.epoch && hit(self.ready[wi], self.start[wi], self.finish[wi])
+        }));
+        let any = !picked.is_empty();
+        for w in picked.drain(..) {
+            self.mark(w, agenda);
+        }
+        self.picked = picked;
+        any
+    }
 
+    /// Change gating (rule 3 of the module docs): `u`'s interval on `dev`
+    /// went from `removed` to `added`; dirty the clean later tasks whose
+    /// slot search could see the difference.
+    fn gate(
+        &mut self,
+        dev: DeviceId,
+        u: u32,
+        removed: Option<(SimTime, SimTime)>,
+        added: Option<(SimTime, SimTime)>,
+        agenda: &mut Agenda,
+    ) {
+        self.mark_later(dev, u, agenda, |ready, start, finish| {
+            added.is_some_and(|a| meets(a, start, finish))
+                || (start > ready && removed.is_some_and(|r| meets(r, ready, finish)))
+        });
+    }
+
+    /// When `u`'s last input arrives on its current device's node.
+    fn ready_time(&self, u: TaskId) -> SimTime {
+        let node = self.env.node_of(self.assignment[u.0 as usize]);
         let mut ready = SimTime::ZERO;
-        for &d in &task.inputs {
+        for &d in &self.dag.task(u).inputs {
             let item = self.dag.data(d);
             let (src, avail) = match self.dag.producer(d) {
                 None => {
@@ -362,24 +424,45 @@ impl<'e> DeltaEvaluator<'e> {
                 .expect("disconnected topology");
             ready = ready.max(arrival);
         }
+        ready
+    }
 
+    /// Re-commit `u` on its (current) device and return its new
+    /// (start, finish). Mirrors `Estimator::eft` + `commit` with insertion
+    /// slots, searching past clean later tasks per the visibility rule
+    /// (rule 2 of the module docs).
+    fn recompute(&mut self, u: TaskId, agenda: &mut Agenda) -> (SimTime, SimTime) {
+        let ui = u.0 as usize;
+        let dev = self.assignment[ui];
+        let ready = self.ready_time(u);
+        let task = self.dag.task(u);
         let spec = &self.env.fleet.device(dev).spec;
         let dur = spec.compute_time_parallel(task.work_flops, task.parallelism);
         let need = task.occupancy(spec.cores);
         // The moved task reserves on a timeline `mark` may never have
-        // touched (empty suffix on the new device).
+        // touched.
         self.save_timeline(dev.0 as usize);
-        let tl = &mut self.timelines[dev.0 as usize];
-        let start = tl.earliest_slot(ready, dur, need, true);
-        tl.reserve(start, dur, need);
+        let start = loop {
+            let c = self.timelines[dev.0 as usize].earliest_slot(ready, dur, need, true);
+            if c == ready
+                || !self.mark_later(dev, u.0, agenda, |_, s, f| meets((s, f), ready, c + dur))
+            {
+                break c;
+            }
+        };
+        self.timelines[dev.0 as usize].reserve(start, dur, need);
         let fin = start + dur;
-
-        let changed = start != self.start[ui] || fin != self.finish[ui];
         self.start[ui] = start;
         self.finish[ui] = fin;
+        self.ready[ui] = ready;
         self.need[ui] = need;
-        changed
+        (start, fin)
     }
+}
+
+/// Whether the closed interval `iv` meets `[lo, hi]`.
+fn meets(iv: (SimTime, SimTime), lo: SimTime, hi: SimTime) -> bool {
+    iv.0 <= hi && lo <= iv.1
 }
 
 #[cfg(test)]
@@ -513,10 +596,52 @@ mod tests {
     }
 
     #[test]
+    fn moving_a_task_leaves_later_tasks_it_cannot_reach_clean() {
+        // x -> t and r -> v, with x, t and v on one multi-core device `a`
+        // and r elsewhere. Topological order is x, r, t, v, so v is a
+        // later task on t's old device; but v runs beside x and ends
+        // before t starts. Removing t's interval cannot open an earlier
+        // slot for v, so moving t recomputes t alone.
+        let built = continuum(&ContinuumSpec::default());
+        let env = Env::new(built.topology.clone(), standard_fleet(&built));
+        let multi: Vec<DeviceId> = env
+            .fleet
+            .devices()
+            .iter()
+            .filter(|d| d.spec.cores >= 2)
+            .map(|d| d.id)
+            .collect();
+        let (a, b) = (multi[0], multi[1]);
+        let home = env.node_of(a);
+        let mut dag = Dag::new("pinned-pruning");
+        let (xin, xout, rin, rout) = (
+            dag.add_input("xin", 1, home),
+            dag.add_item("xout", 1),
+            dag.add_input("rin", 1, home),
+            dag.add_item("rout", 1),
+        );
+        let x = dag.add_task("x", 1e11, vec![xin], vec![xout]);
+        let r = dag.add_task("r", 1e8, vec![rin], vec![rout]);
+        let t = dag.add_task("t", 1e10, vec![xout], vec![]);
+        let v = dag.add_task("v", 1e8, vec![rout], vec![]);
+        assert_eq!(dag.topo_order(), vec![x, r, t, v]);
+        let mut assignment = vec![a; dag.len()];
+        assignment[r.0 as usize] = b;
+        let mut de = DeltaEvaluator::new(&env, &dag, &Placement { assignment });
+        let (vi, ti) = (v.0 as usize, t.0 as usize);
+        assert!(de.finish[vi] < de.start[ti], "v must end before t starts");
+        assert_eq!(de.move_task(t, b), 1, "only the moved task is recomputed");
+        let (sched, m) = oracle(&env, &dag, de.assignment());
+        assert_eq!(de.start, sched.start);
+        assert_eq!(de.finish, sched.finish);
+        assert_eq!(de.metrics(), m);
+    }
+
+    #[test]
     fn moves_touch_a_fraction_of_the_dag() {
         // The point of the exercise: a typical move must not re-schedule
         // everything. Averaged over random moves, the recompute set should
-        // be well under the full DAG.
+        // be well under the full DAG: 23.1 of 200 tasks on this seed.
         let (env, dag) = setup(11, 200);
         let p = HeftPlacer::default().place(&env, &dag);
         let mut de = DeltaEvaluator::new(&env, &dag, &p);
@@ -537,7 +662,7 @@ mod tests {
         }
         let avg = de.recomputed as f64 / moves as f64;
         assert!(
-            avg < dag.len() as f64 * 0.8,
+            avg < dag.len() as f64 * 0.2,
             "avg recompute set {avg:.1} of {} tasks",
             dag.len()
         );
