@@ -8,9 +8,10 @@
 //! traces the makespan/energy/cost trade-off surface.
 //!
 //! Moves are scored through a [`DeltaEvaluator`]: a reassignment
-//! re-schedules only the tasks it can affect (the moved task, the later
-//! tasks on the two touched devices, and downstream ripples) instead of
-//! replaying the whole DAG. Rejected moves are undone from a snapshot
+//! re-schedules only the tasks it can reach — the moved task, the later
+//! tasks on the two touched devices whose slot search a changed interval
+//! overlaps, and the successors of every task whose slot changed —
+//! instead of replaying the whole DAG. Rejected moves are undone from a snapshot
 //! (plain copies, no re-propagation). The delta path is exact — scores,
 //! and therefore the Metropolis
 //! decisions and the final placement, are bit-identical to the

@@ -9,7 +9,8 @@ whose committed copies are smoke runs too. Two kinds of key are gated:
 - every numeric key containing "speedup" (a timed ratio, see below);
 - every numeric leaf under a `work` object: an exact, deterministic work
   count (e.g. the runtime bench's flow-engine `recomputed_flows` and
-  `rate_changes`, or the fabric bench's drains and route lookups). It
+  `rate_changes`, the fabric bench's drains and route lookups, or the
+  planner bench's `delta_recomputed`). It
   fails as soon as it rises above its committed value. The count cannot
   flap, so a change that legitimately adds work must re-bless the
   committed smoke file.
